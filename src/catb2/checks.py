@@ -164,22 +164,24 @@ def check_prop3(i: int, m: int) -> CheckReport:
     companion congruences are verified against them.
     """
     doubled = deformed_poly(i, m) * 2
+    swapped = doubled.swap()
     length = 3 * m + 2 * i + 1
     params = (("i", i), ("m", m))
 
     cases = (
-        # (root shift for y -> -x + s / x -> -y + s, x shift, half shift)
-        (-m, 2 * m + i, Fraction(2 * m - 1, 2)),  # modulo x+y+m
-        (m, m + i, Fraction(-1, 2)),  # modulo x+y-m
+        # (form, x shift, half shift)
+        (XPY_FORM.shifted(m), 2 * m + i, Fraction(2 * m - 1, 2)),
+        (XPY_FORM.shifted(-m), m + i, Fraction(-1, 2)),
     )
     extracted: list[Fraction] = []
-    for root_shift, ff_shift, half_shift in cases:
-        in_x = doubled.subst_affine("y", -1, "x", root_shift).as_unipoly("x")
+    for form, ff_shift, half_shift in cases:
+        # reduce_mod eliminates x, so the swap leaves the remainder in x
+        in_x = form.reduce_mod(swapped)
         target = ff_unipoly(ff_shift, length) * ff_unipoly(half_shift, m)
         lam, residual = _split_cofactor(in_x, target)
         if residual:
             return _report("prop3", params, residual.to_text("x"))
-        in_y = doubled.subst_affine("x", -1, "y", root_shift).as_unipoly("y")
+        in_y = form.reduce_mod(doubled)
         companion = in_y + target * lam  # must equal -lam * target
         if companion:
             return _report("prop3", params, companion.to_text("y"))
@@ -239,11 +241,15 @@ def check_saito(m: int) -> CheckReport:
     c = saito_constant(m)
     data = {"C": str(c)}
     c_int = saito_constant_integral(m)
-    if c == 0 or c != c_int:
-        witness = BiPoly.const(c - c_int).to_text() if c else "0"
-        return _report("saito", params, witness, data=data)
+    if c != c_int:
+        return _report("saito", params, BiPoly.const(c - c_int).to_text(), data=data)
     det = saito_determinant(m)
     phi = defining_poly(m)
+    if c == 0:
+        # The criterion needs C != 0, and a witness must be nonzero: det if it
+        # is (it contradicts det = 0 * phi), else phi, which det should be a
+        # nonzero multiple of.
+        return _report("saito", params, (det or phi).to_text(), data=data)
     if det.coeff(6 * m + 3, 2 * m + 1) != c * phi.coeff(6 * m + 3, 2 * m + 1):
         return _report("saito", params, (det - phi * c).to_text(), data=data)
     witness = _bipoly_diff(det, phi * c)

@@ -5,14 +5,17 @@ report line per parameter cell, in an order that depends only on the
 configuration (never on timing or the worker count).  `catb2 basis` prints
 the two basis polynomials for one m together with the extracted constants.
 
-Exit codes: 0 all checks passed, 1 at least one failed, 2 usage error.
+Exit codes: 0 all checks passed, 1 at least one failed, 2 usage error,
+3 the harness broke (the report could not be written, e.g. a closed pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import IO, Iterator
@@ -165,23 +168,26 @@ def _format_line(task: Task, report: CheckReport | None, fmt: str) -> str:
 def run_verify(cfg: SweepConfig, out: IO[str] | None = None) -> int:
     out = out if out is not None else sys.stdout
     tasks = build_tasks(cfg)
-    if cfg.jobs == 1:
-        results = map(execute_task, tasks)
-    else:
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs)
-        results = pool.map(execute_task, tasks, chunksize=4)
-
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
-    for task, report in zip(tasks, results):
-        if report is None:
-            counts["SKIP"] += 1
-        elif report.passed:
-            counts["PASS"] += 1
+    with contextlib.ExitStack() as stack:
+        if cfg.jobs == 1:
+            results = map(execute_task, tasks)
         else:
-            counts["FAIL"] += 1
-        print(_format_line(task, report, cfg.format), file=out)
-    if cfg.jobs > 1:
-        pool.shutdown()
+            pool = stack.enter_context(
+                concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs)
+            )
+            # Runs first on exit: an early exit drops the queued tasks
+            # instead of waiting for all of them.
+            stack.callback(pool.shutdown, cancel_futures=True)
+            results = pool.map(execute_task, tasks, chunksize=4)
+        for task, report in zip(tasks, results):
+            if report is None:
+                counts["SKIP"] += 1
+            elif report.passed:
+                counts["PASS"] += 1
+            else:
+                counts["FAIL"] += 1
+            print(_format_line(task, report, cfg.format), file=out)
     print(
         f"catb2: {counts['PASS']} passed, {counts['FAIL']} failed, "
         f"{counts['SKIP']} skipped",
@@ -253,11 +259,21 @@ def main(argv: list[str] | None = None) -> int:
                 format=args.format,
                 jobs=args.jobs,
             )
-            return run_verify(cfg)
-        return run_basis(args.m, args.format)
+            code = run_verify(cfg)
+        else:
+            code = run_basis(args.m, args.format)
+        sys.stdout.flush()  # a closed pipe must surface here, not at exit
+        return code
     except UsageError as exc:
         print(f"catb2: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away (e.g. `catb2 verify | head -1`).  Point stdout
+        # at devnull so the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 3
 
 
 if __name__ == "__main__":

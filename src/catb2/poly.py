@@ -7,6 +7,12 @@ equality tested by cross-multiplication.  All values are immutable after
 construction and every operation returns a fresh value, so everything here
 is safe to share across threads and to memoize.
 
+Coefficients are Fraction at every interface and in `.terms`.  The two hot
+kernels, polynomial multiplication and root substitution (`reduce_mod`,
+`subst_value`), clear denominators by their LCM on entry, run in Python
+integers and divide once per output coefficient, so their results equal the
+term-by-term Fraction computation exactly.
+
 The canonical text form (also used for failure witnesses and by the CLI) is
 
     poly := "0" | term (" + " term)*
@@ -18,6 +24,7 @@ with terms ordered by decreasing x exponent, then decreasing y exponent.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -37,6 +44,22 @@ class PolyParseError(ValueError):
 
 def _as_rat(value: RatLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _cleared(terms: Mapping) -> tuple[int, dict]:
+    """(den, ints) with terms[k] == ints[k] / den, den the LCM of the denominators."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+
+
+def _from_ints(cls, ints: Mapping, den: int):
+    """A cls with terms ints[k] / den, zeros dropped, bypassing __init__."""
+    out = cls.__new__(cls)
+    if den == 1:
+        out.terms = {k: Fraction(n) for k, n in ints.items() if n}
+    else:
+        out.terms = {k: Fraction(n, den) for k, n in ints.items() if n}
+    return out
 
 
 class UniPoly:
@@ -85,12 +108,14 @@ class UniPoly:
 
     def __mul__(self, other: UniPoly | RatLike) -> UniPoly:
         if isinstance(other, UniPoly):
-            acc: dict[int, Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
+            den1, left = _cleared(self.terms)
+            den2, right = _cleared(other.terms)
+            acc: dict[int, int] = {}
+            for e1, n1 in left.items():
+                for e2, n2 in right.items():
                     e = e1 + e2
-                    acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-            return UniPoly(acc)
+                    acc[e] = acc.get(e, 0) + n1 * n2
+            return _from_ints(UniPoly, acc, den1 * den2)
         return UniPoly({e: c * _as_rat(other) for e, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -178,12 +203,14 @@ class BiPoly:
 
     def __mul__(self, other: BiPoly | RatLike) -> BiPoly:
         if isinstance(other, BiPoly):
-            acc: dict[Monomial, Fraction] = {}
-            for (x1, y1), c1 in self.terms.items():
-                for (x2, y2), c2 in other.terms.items():
+            den1, left = _cleared(self.terms)
+            den2, right = _cleared(other.terms)
+            acc: dict[Monomial, int] = {}
+            for (x1, y1), n1 in left.items():
+                for (x2, y2), n2 in right.items():
                     k = (x1 + x2, y1 + y2)
-                    acc[k] = acc.get(k, Fraction(0)) + c1 * c2
-            return BiPoly(acc)
+                    acc[k] = acc.get(k, 0) + n1 * n2
+            return _from_ints(BiPoly, acc, den1 * den2)
         return BiPoly({k: c * _as_rat(other) for k, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -237,12 +264,7 @@ class BiPoly:
         """Substitute a constant for var; the result lives in the other variable."""
         if var not in ("x", "y"):
             raise ValueError("var must be 'x' or 'y'")
-        value = _as_rat(value)
-        acc: dict[int, Fraction] = {}
-        for (xe, ye), c in self.terms.items():
-            ve, keep = (xe, ye) if var == "x" else (ye, xe)
-            acc[keep] = acc.get(keep, Fraction(0)) + c * value**ve
-        return UniPoly(acc)
+        return _subst_root(self, var, 0, _as_rat(value))
 
     def as_unipoly(self, var: str) -> UniPoly:
         """View as univariate in var; fails if the other variable occurs."""
@@ -336,12 +358,9 @@ class LinearForm:
         the result is univariate in the surviving variable.
         """
         if self.a != 0:
-            if self.b != 0:
-                # a*x + b*y + c = 0  =>  x = -a*b*y - a*c  (a, b are units)
-                img = p.subst_affine("x", -self.a * self.b, "y", -self.a * self.c)
-                return img.as_unipoly("y")
-            return p.subst_value("x", -self.a * self.c)
-        return p.subst_value("y", -self.b * self.c)
+            # a*x + b*y + c = 0  =>  x = -a*b*y - a*c  (a, b are units)
+            return _subst_root(p, "x", -self.a * self.b, -self.a * self.c)
+        return _subst_root(p, "y", 0, -self.b * self.c)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearForm):
@@ -350,6 +369,35 @@ class LinearForm:
 
     def __repr__(self) -> str:
         return f"LinearForm({self.a}, {self.b}, {self.c!r})"
+
+
+def _subst_root(p: BiPoly, var: str, slope: int, value: Fraction) -> UniPoly:
+    """p with var replaced by slope*v + value, v the other variable.
+
+    A Taylor shift by Horner's rule over the rows p_e(v) of var^e, in
+    integers: with p's denominators cleared to L and value = vn/vd,
+
+        L * vd^top * result = sum_e (slope*vd*v + vn)^e * vd^(top-e) * L*p_e(v).
+    """
+    den, ints = _cleared(p.terms)
+    elim = 0 if var == "x" else 1
+    rows: dict[int, dict[int, int]] = {}
+    for key, n in ints.items():
+        rows.setdefault(key[elim], {})[key[1 - elim]] = n
+    top = max(rows, default=0)
+    lead, vn, vd = slope * value.denominator, value.numerator, value.denominator
+    acc: list[int] = []
+    scale = 1  # vd^(top-e)
+    for e in range(top, -1, -1):
+        # acc *= lead*v + vn
+        acc = [vn * n + lead * prev for n, prev in zip(acc + [0], [0] + acc)]
+        row = rows.get(e)
+        if row:
+            acc.extend([0] * (max(row) + 1 - len(acc)))
+            for k, n in row.items():
+                acc[k] += n * scale
+        scale *= vd
+    return _from_ints(UniPoly, dict(enumerate(acc)), den * vd**top)
 
 
 X_FORM = LinearForm(1, 0)

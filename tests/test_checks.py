@@ -10,19 +10,26 @@ from catb2 import constructions as cons
 
 
 @pytest.fixture
-def poisoned_coeff(monkeypatch):
-    """Perturb one family coefficient by +1 (and clean up afterwards)."""
+def poison(monkeypatch):
+    """Perturb one family coefficient c[i,m,k] by delta (cleaned up afterwards)."""
     original = cons.integral_poly_coeff
 
-    def fake(i: int, m: int, k: int) -> Fraction:
-        value = original(i, m, k)
-        return value + 1 if (i, m, k) == (1, 1, 0) else value
+    def apply(key: tuple[int, int, int], delta: Fraction) -> None:
+        def fake(i: int, m: int, k: int) -> Fraction:
+            value = original(i, m, k)
+            return value + delta if (i, m, k) == key else value
 
-    clear_caches()
-    monkeypatch.setattr(cons, "integral_poly_coeff", fake)
-    yield
+        clear_caches()
+        monkeypatch.setattr(cons, "integral_poly_coeff", fake)
+
+    yield apply
     monkeypatch.undo()
     clear_caches()
+
+
+@pytest.fixture
+def poisoned_coeff(poison):
+    poison((1, 1, 0), 1)
 
 
 def test_report_witness_invariant():
@@ -145,6 +152,32 @@ def test_mutation_flips_saito(poisoned_coeff):
     rep = ck.check_saito(1)
     assert not rep.passed
     assert BiPoly.from_text(rep.witness)
+
+
+@pytest.mark.parametrize("check", [ck.check_theorem, ck.check_membership, ck.check_prop3])
+def test_mutation_flips_remainder_checks(poison, check):
+    poison((1, 2, 1), Fraction(1, 7))
+    rep = check(1, 2)
+    assert not rep.passed
+    assert BiPoly.from_text(rep.witness)
+
+
+@pytest.mark.parametrize("case", ["det", "phi", "one-route"])
+def test_saito_zero_constant_has_nonzero_witness(monkeypatch, case):
+    monkeypatch.setattr(ck, "saito_constant", lambda m: Fraction(0))
+    if case != "one-route":
+        monkeypatch.setattr(ck, "saito_constant_integral", lambda m: Fraction(0))
+    if case == "phi":
+        monkeypatch.setattr(ck, "saito_determinant", lambda m: BiPoly.zero())
+    rep = ck.check_saito(1)
+    expected = {
+        "det": cons.saito_determinant(1),
+        "phi": cons.defining_poly(1),
+        "one-route": BiPoly.const(-cons.saito_constant_integral(1)),
+    }[case]
+    assert expected
+    assert not rep.passed
+    assert rep.witness == expected.to_text()
 
 
 def test_mutated_deformation_breaks_parity(monkeypatch):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import multiprocessing
 import subprocess
 import sys
 from fractions import Fraction
@@ -208,3 +209,29 @@ def test_console_usage_error_exit_code():
         text=True,
     )
     assert proc.returncode == 2
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_pool_is_shut_down_when_output_fails():
+    cfg = _cfg(i_range=(0, 3), m_range=(0, 3), checks=("parity", "degree"), jobs=2)
+    with pytest.raises(BrokenPipeError):
+        run_verify(cfg, out=_ClosedPipe())
+    assert multiprocessing.active_children() == []
+
+
+def test_closed_stdout_exits_3_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "catb2", "verify", "--i", "0..1", "--m", "0..1",
+         "--checks", "parity"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader is gone before the first write
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 3
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err

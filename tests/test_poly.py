@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catb2 import (
@@ -33,6 +33,10 @@ bipolys = st.dictionaries(monomials, coefs, max_size=6).map(BiPoly)
 unipolys = st.dictionaries(st.integers(0, 6), coefs, max_size=5).map(UniPoly)
 forms = st.sampled_from([X_FORM, Y_FORM, XPY_FORM, XMY_FORM])
 shifts = st.integers(-3, 3).map(Fraction)
+unit_pairs = st.sampled_from(
+    [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if (a, b) != (0, 0)]
+)
+form_shifts = st.one_of(shifts, st.fractions(-4, 4, max_denominator=7))
 
 
 def test_add():
@@ -215,3 +219,55 @@ def test_linear_form_reduce_mod():
     # x + y - 1 = 0: substitute x = 1 - y into x^2
     rem = LinearForm(1, 1, -1).reduce_mod(X * X)
     assert rem == UniPoly({2: 1, 1: -2, 0: 1})
+
+
+def _is_clean(p) -> bool:
+    """The .terms invariant: only nonzero Fraction values."""
+    return all(type(c) is Fraction and c for c in p.terms.values())
+
+
+@given(bipolys, unit_pairs, form_shifts)
+@settings(max_examples=150, deadline=None)
+def test_reduce_mod_matches_independent_routes(p, ab, c):
+    a, b = ab
+    form = LinearForm(a, b, c)
+    rem = form.reduce_mod(p)
+    assert _is_clean(rem)
+    assert rem == divrem_linear(p, form)[1]  # long division
+    if a and b:  # x = -a*b*y - a*c through the power-rebuilding substitution
+        assert rem == p.subst_affine("x", -a * b, "y", -a * c).as_unipoly("y")
+
+
+def _naive_product(p, q) -> dict:
+    acc = {}
+    for k1, c1 in p.terms.items():
+        for k2, c2 in q.terms.items():
+            k = (k1[0] + k2[0], k1[1] + k2[1]) if isinstance(k1, tuple) else k1 + k2
+            acc[k] = acc.get(k, Fraction(0)) + c1 * c2
+    return {k: c for k, c in acc.items() if c}
+
+
+@given(bipolys, bipolys)
+@example(X + Y, X - Y)
+@example(
+    BiPoly({(1, 0): Fraction(1, 2), (0, 1): Fraction(-2, 3), (0, 0): 5}),
+    BiPoly({(1, 0): Fraction(1, 2), (0, 1): Fraction(2, 3)}),
+)
+@example(X * Fraction(1, 3), BiPoly())
+@settings(max_examples=100, deadline=None)
+def test_bipoly_mul_matches_fraction_double_loop(p, q):
+    got = p * q
+    assert got.terms == _naive_product(p, q)
+    assert _is_clean(got)
+
+
+@given(unipolys, unipolys)
+@example(
+    UniPoly({1: Fraction(1, 2), 0: Fraction(1, 3)}),
+    UniPoly({1: Fraction(1, 2), 0: Fraction(-1, 3)}),
+)
+@settings(max_examples=100, deadline=None)
+def test_unipoly_mul_matches_fraction_double_loop(p, q):
+    got = p * q
+    assert got.terms == _naive_product(p, q)
+    assert _is_clean(got)
