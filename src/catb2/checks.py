@@ -12,10 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import (
+    _cached,
+    _recurrence_quad,
     basis_derivation,
     defining_poly,
     deformed_poly,
-    deformed_term,
+    deformed_tail,
     halfint_closed,
     halfint_combo,
     halfint_tail,
@@ -28,7 +30,6 @@ from .constructions import (
 )
 from .poly import (
     BiPoly,
-    LinearForm,
     UniPoly,
     UniRatFunc,
     XMY_FORM,
@@ -36,6 +37,8 @@ from .poly import (
     X_FORM,
     Y_FORM,
     ff_unipoly,
+    first_remainder,
+    split_cofactor,
 )
 
 # Registry order is also the report order used by the CLI sweep.
@@ -81,46 +84,41 @@ def _report(
     return CheckReport(name, params, passed=witness is None, witness=witness, data=data)
 
 
-def _bipoly_diff(lhs: BiPoly, rhs: BiPoly) -> str | None:
-    diff = lhs - rhs
-    return diff.to_text() if diff else None
+def _witness(diff: BiPoly | UniPoly | None, *var: str) -> str | None:
+    """The text of a nonzero difference or remainder, else None."""
+    return diff.to_text(*var) if diff else None
 
 
 def check_expansion(i: int, m: int) -> CheckReport:
     """Coefficient form of the integral polynomial vs direct integration."""
     from .constructions import integral_poly, poly_from_coeffs
 
-    witness = _bipoly_diff(poly_from_coeffs(i, m), integral_poly(i, m))
+    witness = _witness(poly_from_coeffs(i, m) - integral_poly(i, m))
     return _report("expansion", (("i", i), ("m", m)), witness)
 
 
 def check_ftilde_forms(i: int, m: int) -> CheckReport:
     """Twice the deformation equals the sum of its expansion summands."""
-    total = BiPoly.zero()
-    for u in range(m + 1):
-        total = total + deformed_term(i, m, u)
-    witness = _bipoly_diff(deformed_poly(i, m) * 2, total)
+    witness = _witness(deformed_poly(i, m) * 2 - deformed_tail(i, m, 0))
     return _report("ftilde-forms", (("i", i), ("m", m)), witness)
 
 
 def check_lemma1(i: int, m: int, l: int) -> CheckReport:
     """Tail combination equals its closed form (zero at l = m+1)."""
-    witness = _bipoly_diff(tail_combo(i, m, l), tail_closed(i, m, l))
+    witness = _witness(tail_combo(i, m, l) - tail_closed(i, m, l))
     return _report("lemma1", (("i", i), ("m", m), ("l", l)), witness)
 
 
 def check_lemma2(a: int, b: int) -> CheckReport:
     """Telescoping sum identity, compared after clearing (z+b)_(2b+2)."""
     lhs, rhs = telescope_cleared_sides(a, b)
-    diff = lhs - rhs
-    witness = diff.to_text("z") if diff else None
+    witness = _witness(lhs - rhs, "z")
     return _report("lemma2", (("a", a), ("b", b)), witness)
 
 
 def check_lemma3(i: int, m: int, k: int, l: int) -> CheckReport:
     """Half-integer tail combination equals its closed form."""
-    diff = halfint_combo(i, m, k, l).cross_diff(halfint_closed(i, m, k, l))
-    witness = diff.to_text("y") if diff else None
+    witness = _witness(halfint_combo(i, m, k, l).cross_diff(halfint_closed(i, m, k, l)), "y")
     return _report("lemma3", (("i", i), ("m", m), ("k", k), ("l", l)), witness)
 
 
@@ -132,25 +130,16 @@ def check_prop1(i: int, m: int) -> CheckReport:
     if i < 1:
         raise ValueError("index i-1 undefined")
     lhs = deformed_poly(i - 1, m + 1) * Fraction(2 * i - 1, 2 * m + 2)
-    quad = BiPoly({(2, 0): 1, (0, 2): 1, (0, 0): -((i + m + 1) ** 2 + i * i)})
+    quad = _recurrence_quad((i + m + 1) ** 2 + i * i)
     rhs = quad * deformed_poly(i, m) - deformed_poly(i + 1, m) * 2
-    return _report("prop1", (("i", i), ("m", m)), _bipoly_diff(lhs, rhs))
+    return _report("prop1", (("i", i), ("m", m)), _witness(lhs - rhs))
 
 
 def check_prop2(i: int, m: int, k: int) -> CheckReport:
     """2*ft[i,m](-1/2-k, y) equals the half-integer evaluation series."""
     lhs = (deformed_poly(i, m) * 2).subst_value("x", Fraction(-(2 * k + 1), 2))
-    diff = UniRatFunc.from_poly(lhs).cross_diff(halfint_tail(i, m, k, 0))
-    witness = diff.to_text("y") if diff else None
+    witness = _witness(UniRatFunc.from_poly(lhs).cross_diff(halfint_tail(i, m, k, 0)), "y")
     return _report("prop2", (("i", i), ("m", m), ("k", k)), witness)
-
-
-def _split_cofactor(p: UniPoly, d: UniPoly) -> tuple[Fraction, UniPoly]:
-    """Best constant lam for p = lam*d plus the residual p - lam*d."""
-    lam = Fraction(0)
-    if p and d:
-        lam = p.coeff(p.degree()) / d.coeff(d.degree())
-    return lam, p - d * lam
 
 
 def check_prop3(i: int, m: int) -> CheckReport:
@@ -178,7 +167,7 @@ def check_prop3(i: int, m: int) -> CheckReport:
         # reduce_mod eliminates x, so the swap leaves the remainder in x
         in_x = form.reduce_mod(swapped)
         target = ff_unipoly(ff_shift, length) * ff_unipoly(half_shift, m)
-        lam, residual = _split_cofactor(in_x, target)
+        lam, residual = split_cofactor(in_x, target)
         if residual:
             return _report("prop3", params, residual.to_text("x"))
         in_y = form.reduce_mod(doubled)
@@ -191,22 +180,17 @@ def check_prop3(i: int, m: int) -> CheckReport:
     return _report("prop3", params, None, data={"A": str(a_const), "B": str(b_const)})
 
 
-def _first_remainder(
-    p: BiPoly, form: LinearForm, shift: int, count: int
-) -> UniPoly | None:
-    """First nonzero remainder of p modulo form+shift-j, j = 0..count-1."""
-    for j in range(count):
-        rem = form.shifted(shift - j).reduce_mod(p)
-        if rem:
-            return rem
-    return None
+@_cached
+def _symmetric_remainder(i: int, m: int) -> UniPoly | None:
+    """First nonzero remainder of ft[i,m](x,y) + ft[i,m](y,x) modulo x+y+m-j,
+    j = 0..2m; the theorem and the x+y clause of membership both need it."""
+    f = deformed_poly(i, m)
+    return first_remainder(f + f.swap(), XPY_FORM, m, 2 * m + 1)
 
 
 def check_theorem(i: int, m: int) -> CheckReport:
     """ft[i,m](x,y) + ft[i,m](y,x) is divisible by prod_{|j|<=m} (x+y+j)."""
-    f = deformed_poly(i, m)
-    rem = _first_remainder(f + f.swap(), XPY_FORM, m, 2 * m + 1)
-    witness = rem.to_text("y") if rem is not None else None
+    witness = _witness(_symmetric_remainder(i, m), "y")
     return _report("theorem", (("i", i), ("m", m)), witness)
 
 
@@ -223,11 +207,9 @@ def check_v_recurrence(i: int, m: int) -> CheckReport:
         return f + f.swap()
 
     lhs = symmetrized(i, m) * Fraction(2 * i + 1, 2 * m)
-    quad = BiPoly(
-        {(2, 0): 1, (0, 2): 1, (0, 0): -((i + m + 1) ** 2 + (i + 1) ** 2)}
-    )
+    quad = _recurrence_quad((i + m + 1) ** 2 + (i + 1) ** 2)
     rhs = quad * symmetrized(i + 1, m - 1) - symmetrized(i + 2, m - 1) * 2
-    return _report("v-recurrence", (("i", i), ("m", m)), _bipoly_diff(lhs, rhs))
+    return _report("v-recurrence", (("i", i), ("m", m)), _witness(lhs - rhs))
 
 
 def check_saito(m: int) -> CheckReport:
@@ -252,7 +234,7 @@ def check_saito(m: int) -> CheckReport:
         return _report("saito", params, (det or phi).to_text(), data=data)
     if det.coeff(6 * m + 3, 2 * m + 1) != c * phi.coeff(6 * m + 3, 2 * m + 1):
         return _report("saito", params, (det - phi * c).to_text(), data=data)
-    witness = _bipoly_diff(det, phi * c)
+    witness = _witness(det - phi * c)
     return _report("saito", params, witness, data=data)
 
 
@@ -264,7 +246,10 @@ def check_membership(i: int, m: int) -> CheckReport:
     """
     der = basis_derivation(i, m)
     for form in (X_FORM, Y_FORM, XPY_FORM, XMY_FORM):
-        rem = _first_remainder(der.apply_linear(form), form, m, 2 * m + 1)
+        if form is XPY_FORM:  # der.apply_linear(XPY_FORM) is f + f.swap()
+            rem = _symmetric_remainder(i, m)
+        else:
+            rem = first_remainder(der.apply_linear(form), form, m, 2 * m + 1)
         if rem is not None:
             var = "x" if form.a == 0 else "y"
             return _report("membership", (("i", i), ("m", m)), rem.to_text(var))
@@ -278,7 +263,7 @@ def check_parity(i: int, m: int) -> CheckReport:
     if odd:
         return _report("parity", (("i", i), ("m", m)), odd.to_text())
     even = f.subst_affine("y", -1, "y") - f
-    witness = even.to_text() if even else None
+    witness = _witness(even)
     return _report("parity", (("i", i), ("m", m)), witness)
 
 

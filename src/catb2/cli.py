@@ -6,7 +6,8 @@ configuration (never on timing or the worker count).  `catb2 basis` prints
 the two basis polynomials for one m together with the extracted constants.
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 usage error,
-3 the harness broke (the report could not be written, e.g. a closed pipe).
+3 the harness broke (a check raised, reported as a RESULT=ERROR line while
+the sweep goes on, or the report could not be written, e.g. a closed pipe).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import contextlib
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from typing import IO, Iterator
 
@@ -31,6 +33,10 @@ Task = tuple[str, str, Params]
 
 class UsageError(ValueError):
     pass
+
+
+class CellError(str):
+    """The one-line message of a check that raised instead of reporting."""
 
 
 @dataclass(frozen=True)
@@ -139,28 +145,39 @@ _RUNNERS = {
 }
 
 
-def execute_task(task: Task) -> CheckReport | None:
-    """Run one task; None signals a skipped cell.  Top level for pickling."""
+def execute_task(task: Task) -> CheckReport | CellError | None:
+    """Run one task; None signals a skipped cell, CellError a check that
+    raised.  Top level for pickling."""
     action, name, params = task
     if action == "skip":
         return None
-    return _RUNNERS[name](dict(params))
+    try:
+        return _RUNNERS[name](dict(params))
+    except Exception as exc:  # reported on one line; the sweep goes on
+        print(f"catb2: CHECK={name}", *(f"{k}={v}" for k, v in params), "raised:", file=sys.stderr)
+        traceback.print_exc()
+        return CellError(" ".join(f"{type(exc).__name__}: {exc}".split()))
 
 
-def _format_line(task: Task, report: CheckReport | None, fmt: str) -> str:
+def _result(report: CheckReport | CellError | None) -> str:
+    if isinstance(report, CellError):
+        return "ERROR"
+    return "SKIP" if report is None else ("PASS" if report.passed else "FAIL")
+
+
+def _format_line(task: Task, report: CheckReport | CellError | None, fmt: str) -> str:
     _, name, params = task
-    result = "SKIP" if report is None else ("PASS" if report.passed else "FAIL")
+    fields = {"result": _result(report)}
+    if isinstance(report, CheckReport) and report.witness is not None:
+        fields["witness"] = report.witness
+    if isinstance(report, CellError):
+        fields["error"] = str(report)
     if fmt == "text":
-        parts = [f"CHECK={name}"]
-        parts += [f"{key}={value}" for key, value in params]
-        parts.append(f"RESULT={result}")
-        if report is not None and report.witness is not None:
-            parts.append(f"WITNESS={report.witness}")
+        parts = [f"CHECK={name}"] + [f"{key}={value}" for key, value in params]
+        parts += [f"{key.upper()}={value}" for key, value in fields.items()]
         return " ".join(parts)
-    record: dict = {"check": name, "params": dict(params), "result": result}
-    if report is not None and report.witness is not None:
-        record["witness"] = report.witness
-    if report is not None and report.data:
+    record: dict = {"check": name, "params": dict(params), **fields}
+    if isinstance(report, CheckReport) and report.data:
         record.update(report.data)
     return json.dumps(record)
 
@@ -168,7 +185,7 @@ def _format_line(task: Task, report: CheckReport | None, fmt: str) -> str:
 def run_verify(cfg: SweepConfig, out: IO[str] | None = None) -> int:
     out = out if out is not None else sys.stdout
     tasks = build_tasks(cfg)
-    counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
+    counts = {"PASS": 0, "FAIL": 0, "SKIP": 0, "ERROR": 0}
     with contextlib.ExitStack() as stack:
         if cfg.jobs == 1:
             results = map(execute_task, tasks)
@@ -181,19 +198,15 @@ def run_verify(cfg: SweepConfig, out: IO[str] | None = None) -> int:
             stack.callback(pool.shutdown, cancel_futures=True)
             results = pool.map(execute_task, tasks, chunksize=4)
         for task, report in zip(tasks, results):
-            if report is None:
-                counts["SKIP"] += 1
-            elif report.passed:
-                counts["PASS"] += 1
-            else:
-                counts["FAIL"] += 1
+            counts[_result(report)] += 1
             print(_format_line(task, report, cfg.format), file=out)
+    raised = f", {counts['ERROR']} raised" if counts["ERROR"] else ""
     print(
         f"catb2: {counts['PASS']} passed, {counts['FAIL']} failed, "
-        f"{counts['SKIP']} skipped",
+        f"{counts['SKIP']} skipped{raised}",
         file=sys.stderr,
     )
-    return 1 if counts["FAIL"] else 0
+    return 3 if counts["ERROR"] else 1 if counts["FAIL"] else 0
 
 
 def run_basis(m: int, fmt: str, out: IO[str] | None = None) -> int:

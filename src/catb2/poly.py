@@ -1,17 +1,20 @@
 """Sparse exact polynomial arithmetic in one and two variables.
 
-BiPoly is a sparse bivariate polynomial in x, y over Fraction; UniPoly is
-its univariate counterpart (the variable is positional, callers decide what
-it denotes); UniRatFunc is an unreduced quotient of two UniPoly with
-equality tested by cross-multiplication.  All values are immutable after
-construction and every operation returns a fresh value, so everything here
-is safe to share across threads and to memoize.
+BiPoly is a sparse bivariate polynomial in x, y with rational
+coefficients; UniPoly is its univariate counterpart (the variable is
+positional, callers decide what it denotes); UniRatFunc is an unreduced
+quotient of two UniPoly with equality tested by cross-multiplication.  All
+values are immutable after construction and every operation returns a fresh
+value, so everything here is safe to share across threads and to memoize.
 
-Coefficients are Fraction at every interface and in `.terms`.  The two hot
-kernels, polynomial multiplication and root substitution (`reduce_mod`,
-`subst_value`), clear denominators by their LCM on entry, run in Python
-integers and divide once per output coefficient, so their results equal the
-term-by-term Fraction computation exactly.
+A UniPoly or BiPoly is stored as integer numerators over one positive
+denominator with the common factor removed (`num`, `den`; the
+content/primitive-part form), so all arithmetic, root substitution
+(`reduce_mod`, `subst_value`) and the falling-factorial builders run in
+Python integers.  Fraction is the coefficient type at every interface:
+constructors take Fraction or int values, `coeff` and `eval` return
+Fraction, and `.terms` is a Fraction view built on first use for text,
+JSON and tests.
 
 The canonical text form (also used for failure witnesses and by the CLI) is
 
@@ -46,86 +49,114 @@ def _as_rat(value: RatLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def _cleared(terms: Mapping) -> tuple[int, dict]:
-    """(den, ints) with terms[k] == ints[k] / den, den the LCM of the denominators."""
-    den = math.lcm(*[c.denominator for c in terms.values()])
-    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+class _IntPoly:
+    """Core shared by UniPoly and BiPoly: integer numerators over one denominator.
 
+    `num` maps each exponent key to a nonzero int and `den` is a positive
+    int with gcd(den, *num.values()) == 1, so every polynomial has exactly
+    one representation and equality compares (num, den).  `.terms` is the
+    same polynomial as key -> nonzero Fraction, built on first use.
+    """
 
-def _from_ints(cls, ints: Mapping, den: int):
-    """A cls with terms ints[k] / den, zeros dropped, bypassing __init__."""
-    out = cls.__new__(cls)
-    if den == 1:
-        out.terms = {k: Fraction(n) for k, n in ints.items() if n}
-    else:
-        out.terms = {k: Fraction(n, den) for k, n in ints.items() if n}
-    return out
+    __slots__ = ("num", "den", "_terms")
 
-
-class UniPoly:
-    """Sparse univariate polynomial: map exponent -> nonzero Fraction."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, RatLike] | None = None):
-        clean: dict[int, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                c = _as_rat(c)
-                if c:
-                    if e < 0:
-                        raise ValueError("negative exponent")
-                    clean[e] = c
-        self.terms = clean
+    def __init__(self, terms: Mapping | None = None):
+        fracs = {k: _as_rat(c) for k, c in (terms or {}).items() if c}
+        if any((min(k) if isinstance(k, tuple) else k) < 0 for k in fracs):
+            raise ValueError("negative exponent")
+        # Canonical already: no prime of the LCM divides every numerator.
+        self.den = math.lcm(*[c.denominator for c in fracs.values()])
+        self.num = {k: c.numerator * (self.den // c.denominator) for k, c in fracs.items()}
+        self._terms = None
 
     @classmethod
-    def const(cls, c: RatLike) -> UniPoly:
-        return cls({0: c})
+    def _raw(cls, num: dict, den: int):
+        """A cls from a (num, den) pair that is already canonical."""
+        out = cls.__new__(cls)
+        out.num, out.den, out._terms = num, den, None
+        return out
 
     @classmethod
-    def monomial(cls, c: RatLike, e: int) -> UniPoly:
-        return cls({e: c})
+    def _canon(cls, num: dict, den: int):
+        """A cls equal to num / den (den > 0): zeros dropped, gcd divided out."""
+        num = {k: n for k, n in num.items() if n}
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {k: n // g for k, n in num.items()}
+        return cls._raw(num, den)
+
+    @classmethod
+    def const(cls, c: RatLike):
+        return cls({cls._ORIGIN: c})
+
+    @property
+    def terms(self) -> dict:
+        """key -> nonzero Fraction; for text, JSON, evaluation and tests."""
+        if self._terms is None:
+            den = self.den
+            self._terms = {k: Fraction(n, den) for k, n in self.num.items()}
+        return self._terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UniPoly):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
-    def __neg__(self) -> UniPoly:
-        return UniPoly({e: -c for e, c in self.terms.items()})
+    def __neg__(self):
+        return self._raw({k: -n for k, n in self.num.items()}, self.den)
 
-    def __add__(self, other: UniPoly) -> UniPoly:
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return UniPoly(acc)
+    def _combine(self, other, sign: int):
+        """self + sign*other over the least common denominator."""
+        if self.den == other.den:
+            acc, den, scale = dict(self.num), self.den, sign
+        else:
+            g = math.gcd(self.den, other.den)
+            left, scale = other.den // g, self.den // g * sign
+            acc, den = {k: n * left for k, n in self.num.items()}, self.den * left
+        for k, n in other.num.items():
+            acc[k] = acc.get(k, 0) + n * scale
+        return self._canon(acc, den)
 
-    def __sub__(self, other: UniPoly) -> UniPoly:
-        return self + (-other)
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _scaled(self, c: RatLike):
+        c = _as_rat(c)
+        scaled = {k: n * c.numerator for k, n in self.num.items()}
+        return self._canon(scaled, self.den * c.denominator)
+
+
+class UniPoly(_IntPoly):
+    """Sparse univariate polynomial in exponent -> coefficient form."""
+
+    __slots__ = ()
+    _ORIGIN = 0
 
     def __mul__(self, other: UniPoly | RatLike) -> UniPoly:
-        if isinstance(other, UniPoly):
-            den1, left = _cleared(self.terms)
-            den2, right = _cleared(other.terms)
-            acc: dict[int, int] = {}
-            for e1, n1 in left.items():
-                for e2, n2 in right.items():
-                    e = e1 + e2
-                    acc[e] = acc.get(e, 0) + n1 * n2
-            return _from_ints(UniPoly, acc, den1 * den2)
-        return UniPoly({e: c * _as_rat(other) for e, c in self.terms.items()})
+        if not isinstance(other, UniPoly):
+            return self._scaled(other)
+        acc: dict[int, int] = {}
+        for e1, n1 in self.num.items():
+            for e2, n2 in other.num.items():
+                e = e1 + e2
+                acc[e] = acc.get(e, 0) + n1 * n2
+        return UniPoly._canon(acc, self.den * other.den)
 
     __rmul__ = __mul__
 
     def degree(self) -> int:
         """Degree, with the zero polynomial mapped to -1."""
-        return max(self.terms) if self.terms else -1
+        return max(self.num, default=-1)
 
     def coeff(self, e: int) -> Fraction:
-        return self.terms.get(e, Fraction(0))
+        return Fraction(self.num.get(e, 0), self.den)
 
     def eval(self, v: RatLike) -> Fraction:
         v = _as_rat(v)
@@ -135,8 +166,8 @@ class UniPoly:
         if var not in ("x", "y"):
             raise ValueError("var must be 'x' or 'y'")
         if var == "x":
-            return BiPoly({(e, 0): c for e, c in self.terms.items()})
-        return BiPoly({(0, e): c for e, c in self.terms.items()})
+            return BiPoly._raw({(e, 0): n for e, n in self.num.items()}, self.den)
+        return BiPoly._raw({(0, e): n for e, n in self.num.items()}, self.den)
 
     def to_text(self, var: str = "y") -> str:
         return self.as_bipoly("x").to_text().replace("x", var)
@@ -145,29 +176,15 @@ class UniPoly:
         return f"UniPoly({self.to_text('v')!r})"
 
 
-class BiPoly:
-    """Sparse bivariate polynomial: map (x exp, y exp) -> nonzero Fraction."""
+class BiPoly(_IntPoly):
+    """Sparse bivariate polynomial in (x exp, y exp) -> coefficient form."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Monomial, RatLike] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for (xe, ye), c in terms.items():
-                c = _as_rat(c)
-                if c:
-                    if xe < 0 or ye < 0:
-                        raise ValueError("negative exponent")
-                    clean[(xe, ye)] = c
-        self.terms = clean
+    __slots__ = ()
+    _ORIGIN = (0, 0)
 
     @classmethod
     def zero(cls) -> BiPoly:
         return cls()
-
-    @classmethod
-    def const(cls, c: RatLike) -> BiPoly:
-        return cls({(0, 0): c})
 
     @classmethod
     def monomial(cls, c: RatLike, xe: int, ye: int) -> BiPoly:
@@ -181,37 +198,19 @@ class BiPoly:
             return cls({(0, 1): 1})
         raise ValueError("var must be 'x' or 'y'")
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __neg__(self) -> BiPoly:
-        return BiPoly({k: -c for k, c in self.terms.items()})
-
     def __add__(self, other: BiPoly) -> BiPoly:
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return BiPoly(acc)
-
-    def __sub__(self, other: BiPoly) -> BiPoly:
-        return self + (-other)
+        # Defined here too, so that BiPoly's addition can be instrumented alone.
+        return self._combine(other, 1)
 
     def __mul__(self, other: BiPoly | RatLike) -> BiPoly:
-        if isinstance(other, BiPoly):
-            den1, left = _cleared(self.terms)
-            den2, right = _cleared(other.terms)
-            acc: dict[Monomial, int] = {}
-            for (x1, y1), n1 in left.items():
-                for (x2, y2), n2 in right.items():
-                    k = (x1 + x2, y1 + y2)
-                    acc[k] = acc.get(k, 0) + n1 * n2
-            return _from_ints(BiPoly, acc, den1 * den2)
-        return BiPoly({k: c * _as_rat(other) for k, c in self.terms.items()})
+        if not isinstance(other, BiPoly):
+            return self._scaled(other)
+        acc: dict[Monomial, int] = {}
+        for (x1, y1), n1 in self.num.items():
+            for (x2, y2), n2 in other.num.items():
+                k = (x1 + x2, y1 + y2)
+                acc[k] = acc.get(k, 0) + n1 * n2
+        return BiPoly._canon(acc, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -224,18 +223,18 @@ class BiPoly:
         return out
 
     def coeff(self, xe: int, ye: int) -> Fraction:
-        return self.terms.get((xe, ye), Fraction(0))
+        return Fraction(self.num.get((xe, ye), 0), self.den)
 
     def degree(self) -> int:
         """Total degree, with the zero polynomial mapped to -1."""
-        return max(xe + ye for xe, ye in self.terms) if self.terms else -1
+        return max((xe + ye for xe, ye in self.num), default=-1)
 
     def homogeneous_part(self, d: int) -> BiPoly:
-        return BiPoly({k: c for k, c in self.terms.items() if k[0] + k[1] == d})
+        return BiPoly._canon({k: n for k, n in self.num.items() if sum(k) == d}, self.den)
 
     def swap(self) -> BiPoly:
         """Exchange x and y."""
-        return BiPoly({(ye, xe): c for (xe, ye), c in self.terms.items()})
+        return BiPoly._raw({(ye, xe): n for (xe, ye), n in self.num.items()}, self.den)
 
     def eval(self, x0: RatLike, y0: RatLike) -> Fraction:
         x0, y0 = _as_rat(x0), _as_rat(y0)
@@ -244,21 +243,29 @@ class BiPoly:
         )
 
     def subst_affine(self, var: str, sign: int, target: str, shift: RatLike = 0) -> BiPoly:
-        """Substitute var -> sign*target + shift (target may equal var)."""
+        """Substitute var -> sign*target + shift (target may equal var).
+
+        Rebuilds every power of the image, independently of `reduce_mod`:
+        with shift = sn/sd and b = sign*sd*target + sn (integer coefficients),
+        p(image) = sum_e p_e * sd^(top-e) * b^e / (den * sd^top).
+        """
         if var not in ("x", "y") or sign not in (1, -1):
             raise ValueError("bad substitution image")
-        base = BiPoly.var(target) * sign + BiPoly.const(shift)
-        top = max((k[0] if var == "x" else k[1] for k in self.terms), default=0)
-        pows = [BiPoly.const(1)]
+        shift = _as_rat(shift)
+        sd = shift.denominator
+        base = BiPoly.var(target) * (sign * sd) + BiPoly.const(shift.numerator)
+        top = max((k[0] if var == "x" else k[1] for k in self.num), default=0)
+        pows = [BiPoly.const(1)]  # all with den 1, like base
         for _ in range(top):
             pows.append(pows[-1] * base)
-        acc: dict[Monomial, Fraction] = {}
-        for (xe, ye), c in self.terms.items():
+        acc: dict[Monomial, int] = {}
+        for (xe, ye), n in self.num.items():
             ve, keep = (xe, ye) if var == "x" else (ye, xe)
-            for (px, py), pc in pows[ve].terms.items():
+            n *= sd ** (top - ve)
+            for (px, py), pn in pows[ve].num.items():
                 k = (px, py + keep) if var == "x" else (px + keep, py)
-                acc[k] = acc.get(k, Fraction(0)) + c * pc
-        return BiPoly(acc)
+                acc[k] = acc.get(k, 0) + n * pn
+        return BiPoly._canon(acc, self.den * sd**top)
 
     def subst_value(self, var: str, value: RatLike) -> UniPoly:
         """Substitute a constant for var; the result lives in the other variable."""
@@ -270,20 +277,20 @@ class BiPoly:
         """View as univariate in var; fails if the other variable occurs."""
         if var not in ("x", "y"):
             raise ValueError("var must be 'x' or 'y'")
-        acc: dict[int, Fraction] = {}
-        for (xe, ye), c in self.terms.items():
+        acc: dict[int, int] = {}
+        for (xe, ye), n in self.num.items():
             ve, other = (xe, ye) if var == "x" else (ye, xe)
             if other:
                 raise ValueError(f"polynomial is not univariate in {var}")
-            acc[ve] = c
-        return UniPoly(acc)
+            acc[ve] = n
+        return UniPoly._raw(acc, self.den)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical order: decreasing x exponent, then decreasing y."""
         return sorted(self.terms.items(), key=lambda kv: (-kv[0][0], -kv[0][1]))
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         rendered = []
         for (xe, ye), c in self.sorted_terms():
@@ -328,11 +335,6 @@ class BiPoly:
         return f"BiPoly({self.to_text()!r})"
 
 
-X = BiPoly.var("x")
-Y = BiPoly.var("y")
-ONE = BiPoly.const(1)
-
-
 class LinearForm:
     """Hyperplane-style linear form a*x + b*y + c with a, b in {-1, 0, 1}."""
 
@@ -375,29 +377,32 @@ def _subst_root(p: BiPoly, var: str, slope: int, value: Fraction) -> UniPoly:
     """p with var replaced by slope*v + value, v the other variable.
 
     A Taylor shift by Horner's rule over the rows p_e(v) of var^e, in
-    integers: with p's denominators cleared to L and value = vn/vd,
+    integers: with p = num / den and value = vn/vd,
 
-        L * vd^top * result = sum_e (slope*vd*v + vn)^e * vd^(top-e) * L*p_e(v).
+        den * vd^top * result = sum_e (slope*vd*v + vn)^e * vd^(top-e) * num_e(v).
     """
-    den, ints = _cleared(p.terms)
     elim = 0 if var == "x" else 1
     rows: dict[int, dict[int, int]] = {}
-    for key, n in ints.items():
+    for key, n in p.num.items():
         rows.setdefault(key[elim], {})[key[1 - elim]] = n
     top = max(rows, default=0)
     lead, vn, vd = slope * value.denominator, value.numerator, value.denominator
     acc: list[int] = []
     scale = 1  # vd^(top-e)
     for e in range(top, -1, -1):
-        # acc *= lead*v + vn
-        acc = [vn * n + lead * prev for n, prev in zip(acc + [0], [0] + acc)]
+        acc = _times_linear(acc, lead, vn)
         row = rows.get(e)
         if row:
             acc.extend([0] * (max(row) + 1 - len(acc)))
             for k, n in row.items():
                 acc[k] += n * scale
         scale *= vd
-    return _from_ints(UniPoly, dict(enumerate(acc)), den * vd**top)
+    return UniPoly._canon(dict(enumerate(acc)), p.den * vd**top)
+
+
+def _times_linear(acc: list[int], lead: int, const: int) -> list[int]:
+    """Coefficients, lowest first, of acc(v) * (lead*v + const)."""
+    return [const * n + lead * prev for n, prev in zip(acc + [0], [0] + acc)]
 
 
 X_FORM = LinearForm(1, 0)
@@ -412,34 +417,21 @@ def divrem_linear(p: BiPoly, form: LinearForm) -> tuple[BiPoly, UniPoly]:
     r is p with the eliminated variable replaced by the root expression of
     the form, hence univariate in the surviving variable; q and r are unique.
     """
-    elim = "x" if form.a != 0 else "y"
-    unit = form.a if elim == "x" else form.b
-    # rest = the form minus its unit*elim part, as (surviving exp -> coef)
-    if elim == "x":
-        rest = {1: Fraction(form.b), 0: form.c}
-    else:
-        rest = {1: Fraction(form.a), 0: form.c}
-    rest = {e: c for e, c in rest.items() if c}
-
+    elim = 0 if form.a != 0 else 1  # x first, as in reduce_mod
+    unit, other = (form.a, form.b) if elim == 0 else (form.b, form.a)
     rows: dict[int, dict[int, Fraction]] = {}
-    for (xe, ye), c in p.terms.items():
-        ve, keep = (xe, ye) if elim == "x" else (ye, xe)
-        rows.setdefault(ve, {})[keep] = c
-
+    for key, c in p.terms.items():
+        rows.setdefault(key[elim], {})[key[1 - elim]] = c
     q_terms: dict[Monomial, Fraction] = {}
-    # Peel off the top eliminated-variable degree one step at a time:
-    # subtracting (row/unit)*elim^(e-1)*form cancels the x^e (resp. y^e) row.
+    # Peel off the top row of the eliminated variable one step at a time:
+    # subtracting (c/unit)*elim^(e-1)*v^k*form cancels c*elim^e*v^k.
     for e in range(max(rows, default=0), 0, -1):
-        row = rows.pop(e, None)
-        if not row:
-            continue
         lower = rows.setdefault(e - 1, {})
-        for ke, c in row.items():
+        for k, c in rows.pop(e, {}).items():
             qc = c / unit
-            key = (e - 1, ke) if elim == "x" else (ke, e - 1)
-            q_terms[key] = q_terms.get(key, Fraction(0)) + qc
-            for re_, rc in rest.items():
-                lower[ke + re_] = lower.get(ke + re_, Fraction(0)) - qc * rc
+            q_terms[(e - 1, k) if elim == 0 else (k, e - 1)] = qc
+            for ke, rc in ((k + 1, other), (k, form.c)):
+                lower[ke] = lower.get(ke, 0) - qc * rc
     return BiPoly(q_terms), UniPoly(rows.get(0, {}))
 
 
@@ -451,32 +443,37 @@ def divisible_by_falling_product(
     The shifted forms are pairwise coprime, so divisibility by the product
     is equivalent to each root substitution annihilating p.
     """
-    shift = _as_rat(shift)
-    return all(not form.shifted(shift - j).reduce_mod(p) for j in range(k))
+    return first_remainder(p, form, shift, k) is None
+
+
+def first_remainder(p: BiPoly, form: LinearForm, shift: RatLike, count: int) -> UniPoly | None:
+    """First nonzero remainder of p modulo form+shift-j, j = 0..count-1."""
+    for j in range(count):
+        rem = form.shifted(shift - j).reduce_mod(p)
+        if rem:
+            return rem
+    return None
 
 
 def constant_cofactor(p: UniPoly, d: UniPoly) -> Fraction:
     """The constant lam with p = lam*d; raises if no such constant exists."""
     if not d:
         raise ValueError("zero divisor polynomial")
-    if not p:
-        return Fraction(0)
-    lam = p.coeff(p.degree()) / d.coeff(d.degree())
-    if p != d * lam:
+    lam, residual = split_cofactor(p, d)
+    if residual:
         raise ValueError("not a constant multiple")
     return lam
 
 
+def split_cofactor(p: UniPoly, d: UniPoly) -> tuple[Fraction, UniPoly]:
+    """Best constant lam for p = lam*d plus the residual p - lam*d."""
+    lam = p.coeff(p.degree()) / d.coeff(d.degree()) if p and d else Fraction(0)
+    return lam, p - d * lam
+
+
 def ff_poly(var: str, shift: RatLike, k: int) -> BiPoly:
     """Falling-factorial polynomial prod_{j=0}^{k-1} (var + shift - j), k >= 0."""
-    if k < 0:
-        raise ValueError("negative length")
-    shift = _as_rat(shift)
-    out = ONE
-    v = BiPoly.var(var)
-    for j in range(k):
-        out = out * (v + BiPoly.const(shift - j))
-    return out
+    return _falling(shift, k).as_bipoly(var)
 
 
 def ff_linear_poly(form: LinearForm, shift: RatLike, k: int) -> BiPoly:
@@ -484,7 +481,7 @@ def ff_linear_poly(form: LinearForm, shift: RatLike, k: int) -> BiPoly:
     if k < 0:
         raise ValueError("negative length")
     shift = _as_rat(shift)
-    out = ONE
+    out = BiPoly.const(1)
     for j in range(k):
         out = out * form.shifted(shift - j).as_poly()
     return out
@@ -492,13 +489,20 @@ def ff_linear_poly(form: LinearForm, shift: RatLike, k: int) -> BiPoly:
 
 def ff_unipoly(shift: RatLike, k: int) -> UniPoly:
     """Univariate falling-factorial product prod_{j=0}^{k-1} (v + shift - j)."""
+    return _falling(shift, k)
+
+
+def _falling(shift: RatLike, k: int) -> UniPoly:
+    """ff_unipoly, also behind ff_poly: with shift = a/d, the product is
+    prod_j (d*v + a - j*d) / d^k, built in integers one factor at a time."""
     if k < 0:
         raise ValueError("negative length")
     shift = _as_rat(shift)
-    out = UniPoly.const(1)
+    a, d = shift.numerator, shift.denominator
+    acc = [1]
     for j in range(k):
-        out = out * UniPoly({1: 1, 0: shift - j})
-    return out
+        acc = _times_linear(acc, d, a - j * d)
+    return UniPoly._canon(dict(enumerate(acc)), d**k)
 
 
 class UniRatFunc:
@@ -541,9 +545,6 @@ class UniRatFunc:
         """numer1*denom2 - numer2*denom1; zero iff the two values are equal."""
         return self.numer * other.denom - other.numer * self.denom
 
-    def __neg__(self) -> UniRatFunc:
-        return UniRatFunc(-self.numer, self.denom)
-
     def __add__(self, other: UniRatFunc) -> UniRatFunc:
         if self.denom == other.denom:
             return UniRatFunc(self.numer + other.numer, self.denom)
@@ -551,9 +552,6 @@ class UniRatFunc:
             self.numer * other.denom + other.numer * self.denom,
             self.denom * other.denom,
         )
-
-    def __sub__(self, other: UniRatFunc) -> UniRatFunc:
-        return self + (-other)
 
     def __mul__(self, other: UniRatFunc | UniPoly | RatLike) -> UniRatFunc:
         if isinstance(other, UniRatFunc):

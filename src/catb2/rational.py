@@ -35,16 +35,17 @@ def falling_factorial(alpha: RatLike, k: int) -> Fraction:
     empty product equal to 1.  For k < 0 it is 1/(alpha+|k|)_{|k|}; that case
     raises if any of alpha+1, ..., alpha+|k| is zero.
     """
-    alpha = Fraction(alpha)
+    # In integers: with alpha = a/d, (alpha)_n = prod_{j<n} (a - j*d) / d^n.
+    a, d = alpha.numerator, alpha.denominator
+    n = abs(k)
+    if k < 0:
+        a += n * d  # (alpha)_k = 1 / (alpha + n)_n
+    num = math.prod(a - j * d for j in range(n))
     if k >= 0:
-        out = Fraction(1)
-        for j in range(k):
-            out *= alpha - j
-        return out
-    rec = falling_factorial(alpha - k, -k)
-    if rec == 0:
+        return Fraction(num, d**n)
+    if num == 0:
         raise ZeroDivisionError("falling factorial pole")
-    return 1 / rec
+    return Fraction(d**n, num)
 
 
 def binomial(n: int, k: int) -> int:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from catb2 import BiPoly, CheckReport, clear_caches
+from catb2 import XPY_FORM, BiPoly, CheckReport, clear_caches
 from catb2 import checks as ck
 from catb2 import constructions as cons
 
@@ -203,3 +203,26 @@ def test_checks_are_pure_after_cache_clear():
     clear_caches()
     after = ck.check_prop3(1, 1)
     assert before == after
+
+
+def test_xpy_clause_of_membership_is_the_theorem_polynomial():
+    for i in range(3):
+        for m in range(3):
+            f = cons.deformed_poly(i, m)
+            assert cons.basis_derivation(i, m).apply_linear(XPY_FORM) == f + f.swap()
+
+
+def test_shared_remainder_scan_is_dropped_by_clear_caches():
+    ck.check_theorem(1, 1)
+    assert ck._symmetric_remainder.cache_info().currsize > 0
+    clear_caches()
+    assert ck._symmetric_remainder.cache_info().currsize == 0
+
+
+def test_membership_alone_finds_the_theorem_witness(poison):
+    poison((1, 2, 1), Fraction(1, 7))
+    membership = ck.check_membership(1, 2)  # fresh caches: runs the scan itself
+    clear_caches()
+    theorem = ck.check_theorem(1, 2)
+    assert not membership.passed and not theorem.passed
+    assert membership.witness == theorem.witness

@@ -1,5 +1,6 @@
 """Harness behaviour: ranges, selection, report formats, exit codes."""
 
+import dataclasses
 import io
 import json
 import multiprocessing
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from catb2 import BiPoly, clear_caches
+from catb2 import cli
 from catb2 import constructions as cons
 from catb2.cli import SweepConfig, UsageError, build_tasks, main, parse_checks, parse_range, run_verify
 
@@ -235,3 +237,52 @@ def test_closed_stdout_exits_3_without_traceback():
         err = proc.stderr.read()
     assert proc.wait(timeout=60) == 3
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+@pytest.fixture
+def broken_cell(monkeypatch):
+    """Make the theorem runner raise on cell (1, 0); every other cell runs."""
+    original = cli._RUNNERS["theorem"]
+
+    def runner(p):
+        if (p["i"], p["m"]) == (1, 0):
+            raise RuntimeError("boom\n  in cell (1, 0)")
+        return original(p)
+
+    monkeypatch.setitem(cli._RUNNERS, "theorem", runner)
+
+
+def test_crashing_cell_reports_error_and_sweep_continues(broken_cell, capsys):
+    code = main(["verify", "--i", "0..1", "--m", "0..1", "--checks", "theorem,degree"])
+    captured = capsys.readouterr()
+    assert code == 3
+    lines = captured.out.splitlines()
+    assert len(lines) == 8
+    assert lines[2] == "CHECK=theorem i=1 m=0 RESULT=ERROR ERROR=RuntimeError: boom in cell (1, 0)"
+    assert all(line.endswith("RESULT=PASS") for k, line in enumerate(lines) if k != 2)
+    assert captured.err.startswith("catb2: CHECK=theorem i=1 m=0 raised:\nTraceback")
+    assert captured.err.endswith("catb2: 7 passed, 0 failed, 0 skipped, 1 raised\n")
+
+
+def test_crashing_cell_json_record(broken_cell):
+    cfg = _cfg(checks=("theorem",), i_range=(1, 1), m_range=(0, 0), format="json")
+    code, lines = _verify_lines(cfg)
+    assert code == 3
+    assert json.loads(lines[0]) == {
+        "check": "theorem",
+        "params": {"i": 1, "m": 0},
+        "result": "ERROR",
+        "error": "RuntimeError: boom in cell (1, 0)",
+    }
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see the patched runner only when forked",
+)
+def test_crashing_cell_under_pool_matches_sequential(broken_cell):
+    cfg = _cfg(i_range=(0, 2), m_range=(0, 2), checks=("theorem", "parity"))
+    sequential = _verify_lines(cfg)
+    assert sequential[0] == 3
+    assert "CHECK=theorem i=1 m=0 RESULT=ERROR" in sequential[1][3]
+    assert _verify_lines(dataclasses.replace(cfg, jobs=2)) == sequential

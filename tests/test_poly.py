@@ -1,5 +1,6 @@
 """Polynomial kernel: arithmetic, builders, substitution, division."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -271,3 +272,105 @@ def test_unipoly_mul_matches_fraction_double_loop(p, q):
     got = p * q
     assert got.terms == _naive_product(p, q)
     assert _is_clean(got)
+
+
+# ------------------------- integer representation -------------------------
+
+scalars = st.one_of(st.just(0), st.integers(-6, 6), coefs)
+half_shifts = st.integers(-8, 8).map(lambda n: Fraction(n, 2))  # integers too
+
+
+def _is_canonical(p) -> bool:
+    """num holds nonzero ints, den > 0, and no common factor is left."""
+    nums = list(p.num.values())
+    return (
+        type(p.den) is int
+        and p.den > 0
+        and math.gcd(p.den, *nums) == 1
+        and all(type(n) is int and n for n in nums)
+    )
+
+
+def _naive_sum(p, q, sign: int = 1) -> dict:
+    acc = dict(p.terms)
+    for k, c in q.terms.items():
+        acc[k] = acc.get(k, Fraction(0)) + sign * c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _naive_scale(p, c) -> dict:
+    return {k: v * c for k, v in p.terms.items() if v * c}
+
+
+def _checked(p, expected: dict) -> None:
+    assert _is_canonical(p), (p.num, p.den)
+    assert p.terms == expected
+    assert _is_clean(p)
+
+
+@given(bipolys, bipolys, scalars)
+@example(BiPoly({(1, 0): Fraction(1, 2), (0, 0): Fraction(1, 2)}), BiPoly(), 2)
+@example(X * Fraction(2, 3), X * Fraction(-2, 3), Fraction(-3, 4))
+@settings(max_examples=100, deadline=None)
+def test_bipoly_operations_stay_canonical(p, q, c):
+    assert _is_canonical(p)
+    _checked(p + q, _naive_sum(p, q))
+    _checked(p - q, _naive_sum(p, q, -1))
+    _checked(-p, _naive_scale(p, -1))
+    _checked(p * c, _naive_scale(p, c))
+    _checked(c * p, _naive_scale(p, c))
+    _checked(p * q, _naive_product(p, q))
+    _checked(p.swap(), {(ye, xe): v for (xe, ye), v in p.terms.items()})
+    assert p == BiPoly(p.terms)
+    assert (p == q) == (p.terms == q.terms)
+
+
+@given(unipolys, unipolys, scalars)
+@example(UniPoly({1: Fraction(1, 2), 0: Fraction(1, 2)}), UniPoly(), 2)
+@settings(max_examples=100, deadline=None)
+def test_unipoly_operations_stay_canonical(p, q, c):
+    assert _is_canonical(p)
+    _checked(p + q, _naive_sum(p, q))
+    _checked(p - q, _naive_sum(p, q, -1))
+    _checked(-p, _naive_scale(p, -1))
+    _checked(p * c, _naive_scale(p, c))
+    _checked(p * q, _naive_product(p, q))
+
+
+@given(bipolys, unit_pairs, form_shifts, st.sampled_from(["x", "y"]), form_shifts)
+@settings(max_examples=100, deadline=None)
+def test_substitutions_stay_canonical(p, ab, c, var, value):
+    form = LinearForm(*ab, c)
+    _checked(form.reduce_mod(p), divrem_linear(p, form)[1].terms)
+    naive: dict = {}
+    for (xe, ye), v in p.terms.items():
+        e, keep = (xe, ye) if var == "x" else (ye, xe)
+        naive[keep] = naive.get(keep, Fraction(0)) + v * value**e
+    _checked(p.subst_value(var, value), {k: v for k, v in naive.items() if v})
+
+
+def _naive_falling(shift: Fraction, k: int) -> dict:
+    """prod_{j<k} (v + shift - j) by Fraction coefficient lists."""
+    coeffs = [Fraction(1)]
+    for j in range(k):
+        root = shift - j
+        coeffs = [root * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return {e: c for e, c in enumerate(coeffs) if c}
+
+
+@given(half_shifts, st.integers(0, 9))
+@example(Fraction(0), 0)
+@example(Fraction(-3, 2), 4)
+@settings(max_examples=80, deadline=None)
+def test_falling_factorial_builders_match_linear_factors(shift, k):
+    expected = _naive_falling(shift, k)
+    _checked(ff_unipoly(shift, k), expected)
+    _checked(ff_poly("x", shift, k), {(e, 0): c for e, c in expected.items()})
+    _checked(ff_poly("y", shift, k), {(0, e): c for e, c in expected.items()})
+
+
+def test_terms_view_is_built_once_and_only_on_demand():
+    p = ff_poly("x", Fraction(1, 2), 3) * Y
+    assert p._terms is None
+    assert p.terms is p.terms
+    assert p.num == {(3, 1): 8, (2, 1): -12, (1, 1): -2, (0, 1): 3} and p.den == 8

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from catb2 import FamilyIndex, beta_half, binomial, falling_factorial, rat_make
@@ -71,6 +71,38 @@ def test_falling_factorial_shift_law():
                 except ZeroDivisionError:
                     continue
                 assert lhs == rhs, (alpha, j, k)
+
+
+def _naive_falling_factorial(alpha: Fraction, k: int) -> Fraction:
+    """(alpha)_k by a Fraction loop; for k < 0, 1/(alpha+|k|)_|k| or a pole."""
+    if k < 0:
+        rec = _naive_falling_factorial(alpha - k, -k)
+        if rec == 0:
+            raise ZeroDivisionError
+        return 1 / rec
+    out = Fraction(1)
+    for j in range(k):
+        out *= alpha - j
+    return out
+
+
+@given(
+    st.one_of(st.integers(-8, 8), st.fractions(-8, 8, max_denominator=6)),
+    st.integers(-10, 10),
+)
+@example(-1, -2)  # pole: (1)(0) in the denominator
+@example(Fraction(-7, 2), 0)
+@example(Fraction(5, 3), 4)
+def test_falling_factorial_matches_naive_loop(alpha, k):
+    try:
+        expected = _naive_falling_factorial(Fraction(alpha), k)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match="falling factorial pole"):
+            falling_factorial(alpha, k)
+        return
+    got = falling_factorial(alpha, k)
+    assert type(got) is Fraction
+    assert got == expected
 
 
 def test_binomial_outside_range_is_zero():

@@ -1,0 +1,50 @@
+"""The span tracer in perfbench/tracing.py can find everything it wraps.
+
+The tracer looks each target up as `vars(holder)[attr]` and replaces that
+object wherever it appears, so a traced method must be defined in its own
+class (not inherited) and must not be shared with another class.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import catb2
+import catb2.cli
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+CLASSES = ("BiPoly", "UniPoly", "UniRatFunc", "LinearForm")
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("catb2_perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_is_in_its_holders_namespace():
+    tracing = _tracing()
+    targets = [(catb2.cli, fn) for fn in tracing.CLI]
+    targets += [(catb2.checks, tracing._check_function(name)) for name in tracing.CHECKS]
+    targets += [(catb2.constructions, fn) for fn in tracing.CONSTRUCTIONS + tracing.MEMOS]
+    for cls, attr in tracing.POLY_KERNELS.values():
+        targets.append((getattr(catb2.poly, cls) if cls else catb2.poly, attr))
+    targets += [(catb2.rational, fn) for fn in tracing.RATIONAL]
+    missing = [f"{getattr(h, '__name__', h)}.{attr}" for h, attr in targets if attr not in vars(h)]
+    assert missing == []
+    memos = {fn.__wrapped__.__name__ for fn in catb2.constructions._CACHES}
+    assert set(tracing.MEMOS) <= memos
+
+
+def test_no_poly_kernel_sits_on_two_classes():
+    tracing = _tracing()
+    for cls, attr in tracing.POLY_KERNELS.values():
+        if cls is None:
+            continue
+        fn = vars(getattr(catb2.poly, cls))[attr]
+        owners = [
+            name
+            for name in CLASSES
+            if any(value is fn for value in vars(getattr(catb2.poly, name)).values())
+        ]
+        assert owners == [cls], (cls, attr)
