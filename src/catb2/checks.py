@@ -1,15 +1,19 @@
 """Executable identity checks over the Cat(B2, m) constructions.
 
+`REGISTRY` declares every check: its name, which cells of the (i, m) grid
+it runs and with what parameters.  Each entry has one `check_*` function.
 Every check compares two independently built exact values and returns a
 CheckReport; nothing here raises on a mathematical mismatch (only on
-out-of-domain parameters).  A failed report always carries a witness: the
-serialized nonzero difference or remainder that falsifies the identity.
+out-of-domain parameters).  A report fails exactly when it carries a
+witness: the serialized nonzero difference or remainder that falsifies
+the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .constructions import (
     _cached,
@@ -41,47 +45,71 @@ from .poly import (
     split_cofactor,
 )
 
-# Registry order is also the report order used by the CLI sweep.
-CHECK_NAMES = (
-    "expansion",
-    "ftilde-forms",
-    "lemma1",
-    "lemma2",
-    "lemma3",
-    "prop1",
-    "prop2",
-    "prop3",
-    "theorem",
-    "v-recurrence",
-    "saito",
-    "membership",
-    "parity",
-    "degree",
-)
+Params = tuple[tuple[str, int], ...]
+
+
+def _p(**params: int) -> Params:
+    return tuple(params.items())
+
+
+def _cell(i: int, m: int, k_extra: int) -> list[Params]:
+    return [_p(i=i, m=m)]
+
+
+class Check(NamedTuple):
+    """One registry entry.  `params(i, m, k_extra)` lists the parameter
+    tuples that the grid cell (i, m) runs; a cell failing `applies(i, m)`
+    runs nothing and reports one SKIP instead."""
+
+    params: Callable[[int, int, int], list[Params]] = _cell
+    applies: Callable[[int, int], bool] = lambda i, m: True
+
+
+def _i_positive(i: int, m: int) -> bool:
+    return i >= 1
+
+
+# The one place a check is declared.  Registry order is also the report
+# order of the CLI sweep, which runs check_<name, '-' read as '_'> looked up
+# on this module at call time (so patched or traced functions are the ones
+# that run).
+REGISTRY = {
+    "expansion": Check(),
+    "ftilde-forms": Check(),
+    "lemma1": Check(lambda i, m, kx: [_p(i=i, m=m, l=l) for l in range(m + 2)], _i_positive),
+    # a and b sweep the i and m ranges respectively
+    "lemma2": Check(lambda a, b, kx: [_p(a=a, b=b)]),
+    "lemma3": Check(
+        lambda i, m, kx: [
+            _p(i=i, m=m, k=k, l=l) for k in range(m + kx + 1) for l in range(k + 2)
+        ],
+        _i_positive,
+    ),
+    "prop1": Check(applies=_i_positive),
+    "prop2": Check(lambda i, m, kx: [_p(i=i, m=m, k=k) for k in range(m + kx + 1)]),
+    "prop3": Check(),
+    "theorem": Check(),
+    "v-recurrence": Check(applies=lambda i, m: m >= 1),
+    # one line per m: the sweep keeps the first of the tasks repeated over i
+    "saito": Check(lambda i, m, kx: [_p(m=m)]),
+    "membership": Check(),
+    "parity": Check(),
+    "degree": Check(),
+}
+CHECK_NAMES = tuple(REGISTRY)
 
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one verification: name, parameters, verdict, witness."""
+    """Outcome of one verification: the witness of a failure, absent exactly
+    when the identity holds, and any constants the check extracted."""
 
-    check_name: str
-    params: tuple[tuple[str, int], ...]
-    passed: bool
     witness: str | None = None
     data: dict[str, str] | None = None
 
-    def __post_init__(self) -> None:
-        if self.passed == (self.witness is not None):
-            raise ValueError("witness must be present exactly when the check fails")
-
-
-def _report(
-    name: str,
-    params: tuple[tuple[str, int], ...],
-    witness: str | None,
-    data: dict[str, str] | None = None,
-) -> CheckReport:
-    return CheckReport(name, params, passed=witness is None, witness=witness, data=data)
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 def _witness(diff: BiPoly | UniPoly | None, *var: str) -> str | None:
@@ -93,33 +121,29 @@ def check_expansion(i: int, m: int) -> CheckReport:
     """Coefficient form of the integral polynomial vs direct integration."""
     from .constructions import integral_poly, poly_from_coeffs
 
-    witness = _witness(poly_from_coeffs(i, m) - integral_poly(i, m))
-    return _report("expansion", (("i", i), ("m", m)), witness)
+    return CheckReport(_witness(poly_from_coeffs(i, m) - integral_poly(i, m)))
 
 
 def check_ftilde_forms(i: int, m: int) -> CheckReport:
     """Twice the deformation equals the sum of its expansion summands."""
-    witness = _witness(deformed_poly(i, m) * 2 - deformed_tail(i, m, 0))
-    return _report("ftilde-forms", (("i", i), ("m", m)), witness)
+    return CheckReport(_witness(deformed_poly(i, m) * 2 - deformed_tail(i, m, 0)))
 
 
 def check_lemma1(i: int, m: int, l: int) -> CheckReport:
     """Tail combination equals its closed form (zero at l = m+1)."""
-    witness = _witness(tail_combo(i, m, l) - tail_closed(i, m, l))
-    return _report("lemma1", (("i", i), ("m", m), ("l", l)), witness)
+    return CheckReport(_witness(tail_combo(i, m, l) - tail_closed(i, m, l)))
 
 
 def check_lemma2(a: int, b: int) -> CheckReport:
     """Telescoping sum identity, compared after clearing (z+b)_(2b+2)."""
     lhs, rhs = telescope_cleared_sides(a, b)
-    witness = _witness(lhs - rhs, "z")
-    return _report("lemma2", (("a", a), ("b", b)), witness)
+    return CheckReport(_witness(lhs - rhs, "z"))
 
 
 def check_lemma3(i: int, m: int, k: int, l: int) -> CheckReport:
     """Half-integer tail combination equals its closed form."""
     witness = _witness(halfint_combo(i, m, k, l).cross_diff(halfint_closed(i, m, k, l)), "y")
-    return _report("lemma3", (("i", i), ("m", m), ("k", k), ("l", l)), witness)
+    return CheckReport(witness)
 
 
 def check_prop1(i: int, m: int) -> CheckReport:
@@ -132,14 +156,14 @@ def check_prop1(i: int, m: int) -> CheckReport:
     lhs = deformed_poly(i - 1, m + 1) * Fraction(2 * i - 1, 2 * m + 2)
     quad = _recurrence_quad((i + m + 1) ** 2 + i * i)
     rhs = quad * deformed_poly(i, m) - deformed_poly(i + 1, m) * 2
-    return _report("prop1", (("i", i), ("m", m)), _witness(lhs - rhs))
+    return CheckReport(_witness(lhs - rhs))
 
 
 def check_prop2(i: int, m: int, k: int) -> CheckReport:
     """2*ft[i,m](-1/2-k, y) equals the half-integer evaluation series."""
     lhs = (deformed_poly(i, m) * 2).subst_value("x", Fraction(-(2 * k + 1), 2))
     witness = _witness(UniRatFunc.from_poly(lhs).cross_diff(halfint_tail(i, m, k, 0)), "y")
-    return _report("prop2", (("i", i), ("m", m), ("k", k)), witness)
+    return CheckReport(witness)
 
 
 def check_prop3(i: int, m: int) -> CheckReport:
@@ -155,7 +179,6 @@ def check_prop3(i: int, m: int) -> CheckReport:
     doubled = deformed_poly(i, m) * 2
     swapped = doubled.swap()
     length = 3 * m + 2 * i + 1
-    params = (("i", i), ("m", m))
 
     cases = (
         # (form, x shift, half shift)
@@ -169,15 +192,15 @@ def check_prop3(i: int, m: int) -> CheckReport:
         target = ff_unipoly(ff_shift, length) * ff_unipoly(half_shift, m)
         lam, residual = split_cofactor(in_x, target)
         if residual:
-            return _report("prop3", params, residual.to_text("x"))
+            return CheckReport(residual.to_text("x"))
         in_y = form.reduce_mod(doubled)
         companion = in_y + target * lam  # must equal -lam * target
         if companion:
-            return _report("prop3", params, companion.to_text("y"))
+            return CheckReport(companion.to_text("y"))
         extracted.append(lam)
 
     a_const, b_const = extracted
-    return _report("prop3", params, None, data={"A": str(a_const), "B": str(b_const)})
+    return CheckReport(data={"A": str(a_const), "B": str(b_const)})
 
 
 @_cached
@@ -190,8 +213,7 @@ def _symmetric_remainder(i: int, m: int) -> UniPoly | None:
 
 def check_theorem(i: int, m: int) -> CheckReport:
     """ft[i,m](x,y) + ft[i,m](y,x) is divisible by prod_{|j|<=m} (x+y+j)."""
-    witness = _witness(_symmetric_remainder(i, m), "y")
-    return _report("theorem", (("i", i), ("m", m)), witness)
+    return CheckReport(_witness(_symmetric_remainder(i, m), "y"))
 
 
 def check_v_recurrence(i: int, m: int) -> CheckReport:
@@ -209,7 +231,7 @@ def check_v_recurrence(i: int, m: int) -> CheckReport:
     lhs = symmetrized(i, m) * Fraction(2 * i + 1, 2 * m)
     quad = _recurrence_quad((i + m + 1) ** 2 + (i + 1) ** 2)
     rhs = quad * symmetrized(i + 1, m - 1) - symmetrized(i + 2, m - 1) * 2
-    return _report("v-recurrence", (("i", i), ("m", m)), _witness(lhs - rhs))
+    return CheckReport(_witness(lhs - rhs))
 
 
 def check_saito(m: int) -> CheckReport:
@@ -219,23 +241,21 @@ def check_saito(m: int) -> CheckReport:
     integrals) to agree, and the x^(6m+3) y^(2m+1) coefficient of the
     determinant to be C times that coefficient of the defining polynomial.
     """
-    params = (("m", m),)
     c = saito_constant(m)
     data = {"C": str(c)}
     c_int = saito_constant_integral(m)
     if c != c_int:
-        return _report("saito", params, BiPoly.const(c - c_int).to_text(), data=data)
+        return CheckReport(BiPoly.const(c - c_int).to_text(), data=data)
     det = saito_determinant(m)
     phi = defining_poly(m)
     if c == 0:
         # The criterion needs C != 0, and a witness must be nonzero: det if it
         # is (it contradicts det = 0 * phi), else phi, which det should be a
         # nonzero multiple of.
-        return _report("saito", params, (det or phi).to_text(), data=data)
+        return CheckReport((det or phi).to_text(), data=data)
     if det.coeff(6 * m + 3, 2 * m + 1) != c * phi.coeff(6 * m + 3, 2 * m + 1):
-        return _report("saito", params, (det - phi * c).to_text(), data=data)
-    witness = _witness(det - phi * c)
-    return _report("saito", params, witness, data=data)
+        return CheckReport((det - phi * c).to_text(), data=data)
+    return CheckReport(_witness(det - phi * c), data=data)
 
 
 def check_membership(i: int, m: int) -> CheckReport:
@@ -252,8 +272,8 @@ def check_membership(i: int, m: int) -> CheckReport:
             rem = first_remainder(der.apply_linear(form), form, m, 2 * m + 1)
         if rem is not None:
             var = "x" if form.a == 0 else "y"
-            return _report("membership", (("i", i), ("m", m)), rem.to_text(var))
-    return _report("membership", (("i", i), ("m", m)), None)
+            return CheckReport(rem.to_text(var))
+    return CheckReport()
 
 
 def check_parity(i: int, m: int) -> CheckReport:
@@ -261,17 +281,15 @@ def check_parity(i: int, m: int) -> CheckReport:
     f = deformed_poly(i, m)
     odd = f.subst_affine("x", -1, "x") + f
     if odd:
-        return _report("parity", (("i", i), ("m", m)), odd.to_text())
+        return CheckReport(odd.to_text())
     even = f.subst_affine("y", -1, "y") - f
-    witness = _witness(even)
-    return _report("parity", (("i", i), ("m", m)), witness)
+    return CheckReport(_witness(even))
 
 
 def check_degree(i: int, m: int) -> CheckReport:
     """Total degrees: deg ft[i,m] = 4m+2i+1 and deg of the defining poly = 8m+4."""
     f = deformed_poly(i, m)
     if f.degree() != 4 * m + 2 * i + 1:
-        return _report("degree", (("i", i), ("m", m)), f.to_text())
+        return CheckReport(f.to_text())
     phi = defining_poly(m)
-    witness = phi.to_text() if phi.degree() != 8 * m + 4 else None
-    return _report("degree", (("i", i), ("m", m)), witness)
+    return CheckReport(phi.to_text() if phi.degree() != 8 * m + 4 else None)

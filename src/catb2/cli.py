@@ -2,8 +2,10 @@
 
 `catb2 verify` runs selected checks over an (i, m) grid and prints one
 report line per parameter cell, in an order that depends only on the
-configuration (never on timing or the worker count).  `catb2 basis` prints
-the two basis polynomials for one m together with the extracted constants.
+configuration (never on timing or the worker count).  The tasks come from
+`checks.REGISTRY`, and `--jobs N` runs them on at most min(N, CPUs, tasks)
+processes.  `catb2 basis` prints the two basis polynomials for one m
+together with the extracted constants.
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 usage error,
 3 the harness broke (a check raised, reported as a RESULT=ERROR line while
@@ -20,13 +22,12 @@ import os
 import sys
 import traceback
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO
 
 from . import checks
-from .checks import CHECK_NAMES, CheckReport
+from .checks import CHECK_NAMES, REGISTRY, CheckReport, Params
 from .constructions import deformed_poly, saito_constant
 
-Params = tuple[tuple[str, int], ...]
 # action is "run" or "skip"; skipped cells fail a check's precondition.
 Task = tuple[str, str, Params]
 
@@ -86,63 +87,17 @@ def parse_checks(text: str) -> tuple[str, ...]:
 
 def build_tasks(cfg: SweepConfig) -> list[Task]:
     """The full deterministic task list for a sweep, in report order."""
-    i_lo, i_hi = cfg.i_range
-    m_lo, m_hi = cfg.m_range
     tasks: list[Task] = []
-
-    def cells() -> Iterator[tuple[int, int]]:
-        for i in range(i_lo, i_hi + 1):
-            for m in range(m_lo, m_hi + 1):
-                yield i, m
-
     for name in cfg.checks:
-        if name == "saito":
-            for m in range(m_lo, m_hi + 1):
-                tasks.append(("run", name, (("m", m),)))
-            continue
-        if name == "lemma2":
-            # a and b sweep the i and m ranges respectively
-            for a, b in cells():
-                tasks.append(("run", name, (("a", a), ("b", b))))
-            continue
-        for i, m in cells():
-            if name in ("lemma1", "lemma3", "prop1") and i == 0:
-                tasks.append(("skip", name, (("i", i), ("m", m))))
-            elif name == "v-recurrence" and m == 0:
-                tasks.append(("skip", name, (("i", i), ("m", m))))
-            elif name == "lemma1":
-                for l in range(m + 2):
-                    tasks.append(("run", name, (("i", i), ("m", m), ("l", l))))
-            elif name == "lemma3":
-                for k in range(m + cfg.k_extra + 1):
-                    for l in range(k + 2):
-                        tasks.append(
-                            ("run", name, (("i", i), ("m", m), ("k", k), ("l", l)))
-                        )
-            elif name == "prop2":
-                for k in range(m + cfg.k_extra + 1):
-                    tasks.append(("run", name, (("i", i), ("m", m), ("k", k))))
-            else:
-                tasks.append(("run", name, (("i", i), ("m", m))))
-    return tasks
-
-
-_RUNNERS = {
-    "expansion": lambda p: checks.check_expansion(p["i"], p["m"]),
-    "ftilde-forms": lambda p: checks.check_ftilde_forms(p["i"], p["m"]),
-    "lemma1": lambda p: checks.check_lemma1(p["i"], p["m"], p["l"]),
-    "lemma2": lambda p: checks.check_lemma2(p["a"], p["b"]),
-    "lemma3": lambda p: checks.check_lemma3(p["i"], p["m"], p["k"], p["l"]),
-    "prop1": lambda p: checks.check_prop1(p["i"], p["m"]),
-    "prop2": lambda p: checks.check_prop2(p["i"], p["m"], p["k"]),
-    "prop3": lambda p: checks.check_prop3(p["i"], p["m"]),
-    "theorem": lambda p: checks.check_theorem(p["i"], p["m"]),
-    "v-recurrence": lambda p: checks.check_v_recurrence(p["i"], p["m"]),
-    "saito": lambda p: checks.check_saito(p["m"]),
-    "membership": lambda p: checks.check_membership(p["i"], p["m"]),
-    "parity": lambda p: checks.check_parity(p["i"], p["m"]),
-    "degree": lambda p: checks.check_degree(p["i"], p["m"]),
-}
+        check = REGISTRY[name]
+        for i in range(cfg.i_range[0], cfg.i_range[1] + 1):
+            for m in range(cfg.m_range[0], cfg.m_range[1] + 1):
+                if check.applies(i, m):
+                    tasks += [("run", name, p) for p in check.params(i, m, cfg.k_extra)]
+                else:
+                    tasks.append(("skip", name, (("i", i), ("m", m))))
+    # A check whose parameters ignore i (saito) repeats its tasks: keep the first.
+    return list(dict.fromkeys(tasks))
 
 
 def execute_task(task: Task) -> CheckReport | CellError | None:
@@ -152,7 +107,7 @@ def execute_task(task: Task) -> CheckReport | CellError | None:
     if action == "skip":
         return None
     try:
-        return _RUNNERS[name](dict(params))
+        return getattr(checks, "check_" + name.replace("-", "_"))(**dict(params))
     except Exception as exc:  # reported on one line; the sweep goes on
         print(f"catb2: CHECK={name}", *(f"{k}={v}" for k, v in params), "raised:", file=sys.stderr)
         traceback.print_exc()
@@ -186,12 +141,14 @@ def run_verify(cfg: SweepConfig, out: IO[str] | None = None) -> int:
     out = out if out is not None else sys.stdout
     tasks = build_tasks(cfg)
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0, "ERROR": 0}
+    # The pool forks all its workers at once, so never more than can work.
+    workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
-        if cfg.jobs == 1:
+        if workers == 1:
             results = map(execute_task, tasks)
         else:
             pool = stack.enter_context(
-                concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs)
+                concurrent.futures.ProcessPoolExecutor(max_workers=workers)
             )
             # Runs first on exit: an early exit drops the queued tasks
             # instead of waiting for all of them.
@@ -255,7 +212,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     pv.add_argument("--checks", default="all", metavar="LIST|all", help="comma-separated check names")
     pv.add_argument("--format", choices=("text", "json"), default="text")
-    pv.add_argument("--jobs", type=int, default=1, metavar="N", help="worker processes")
+    pv.add_argument(
+        "--jobs", type=int, default=1, metavar="N", help="worker processes, at most one per CPU and task"
+    )
 
     pb = sub.add_parser("basis", help="print the basis polynomials and constants")
     pb.add_argument("--m", type=int, required=True)

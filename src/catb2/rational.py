@@ -13,19 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Canonical exact scalar type.  str() of a Fraction is "num/den" with the
-# denominator omitted when it is 1, which is exactly the text form used by
-# the serializer and the CLI.
-Rat = Fraction
-
+# str() of a Fraction is "num/den" with the denominator omitted when it is
+# 1, which is exactly the text form used by the serializer and the CLI.
 RatLike = Fraction | int
-
-
-def rat_make(num: int, den: int = 1) -> Fraction:
-    """Reduced rational num/den with positive denominator."""
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    return Fraction(num, den)
 
 
 def falling_factorial(alpha: RatLike, k: int) -> Fraction:

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from catb2 import XPY_FORM, BiPoly, CheckReport, clear_caches
+from catb2 import CHECK_NAMES, XPY_FORM, BiPoly, CheckReport, clear_caches
 from catb2 import checks as ck
+from catb2 import cli
 from catb2 import constructions as cons
 
 
@@ -33,12 +34,10 @@ def poisoned_coeff(poison):
 
 
 def test_report_witness_invariant():
-    with pytest.raises(ValueError):
-        CheckReport("x", (), passed=True, witness="1")
-    with pytest.raises(ValueError):
-        CheckReport("x", (), passed=False)
-    ok = CheckReport("x", (("i", 0),), passed=True)
-    assert ok.witness is None and ok.data is None
+    ok = CheckReport()
+    assert ok.passed and ok.witness is None and ok.data is None
+    failed = CheckReport("1", data={"C": "0"})
+    assert not failed.passed and failed.witness == "1"
 
 
 def test_expansion_and_forms_pass():
@@ -226,3 +225,68 @@ def test_membership_alone_finds_the_theorem_witness(poison):
     theorem = ck.check_theorem(1, 2)
     assert not membership.passed and not theorem.passed
     assert membership.witness == theorem.witness
+
+
+def _cell(**params: int) -> tuple[tuple[str, int], ...]:
+    return tuple(params.items())
+
+
+def _plus_one(value, *args):
+    return value + 1
+
+
+def _plus_one_seventh(value, *args):
+    return value + Fraction(1, 7)
+
+
+def _plus_poly_one(value, *args):
+    return value + BiPoly.const(1)
+
+
+# check -> (construction perturbed, the arguments it is perturbed at (None:
+# all), the perturbation of its value, a cell where the check must FAIL)
+MUTATIONS = {
+    "expansion": ("integral_poly_coeff", (1, 1, 0), _plus_one, _cell(i=1, m=1)),
+    "ftilde-forms": ("integral_poly_coeff", (1, 1, 0), _plus_one, _cell(i=1, m=1)),
+    "lemma1": ("deformed_term", (1, 1, 1), _plus_poly_one, _cell(i=1, m=1, l=1)),
+    # at (a, b) = (1, 1) both sides of the identity change
+    "lemma2": ("falling_factorial", (2, 2), _plus_one, _cell(a=0, b=1)),
+    "lemma3": ("halfint_term", (1, 1, 1, 1), lambda v, *a: v * 2, _cell(i=1, m=1, k=1, l=1)),
+    "prop1": ("integral_poly_coeff", (1, 1, 0), _plus_one, _cell(i=1, m=1)),
+    "prop2": ("integral_poly_coeff", (1, 1, 0), _plus_one, _cell(i=1, m=1, k=0)),
+    "prop3": ("integral_poly_coeff", (1, 2, 1), _plus_one_seventh, _cell(i=1, m=2)),
+    "theorem": ("integral_poly_coeff", (1, 2, 1), _plus_one_seventh, _cell(i=1, m=2)),
+    "v-recurrence": ("integral_poly_coeff", (1, 1, 0), _plus_one, _cell(i=1, m=1)),
+    "saito": ("integral_poly_coeff", (1, 1, 0), _plus_one, _cell(m=1)),
+    "membership": ("integral_poly_coeff", (1, 2, 1), _plus_one_seventh, _cell(i=1, m=2)),
+    "parity": ("deformed_poly", None, _plus_poly_one, _cell(i=1, m=2)),
+    "degree": (
+        "deformed_poly",
+        None,
+        lambda f, i, m: f + BiPoly.monomial(1, 4 * m + 2 * i + 2, 0),
+        _cell(i=1, m=1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_mutation_matrix_flips_every_check(monkeypatch, name):
+    assert set(MUTATIONS) == set(CHECK_NAMES)  # a new check needs a mutation
+    target, at, perturb, params = MUTATIONS[name]
+    original = getattr(cons, target)
+
+    def fake(*args):
+        value = original(*args)
+        return perturb(value, *args) if at is None or args == at else value
+
+    clear_caches()
+    for module in (cons, ck):  # every namespace that calls it by this name
+        if vars(module).get(target) is original:
+            monkeypatch.setattr(module, target, fake)
+    try:
+        report = cli.execute_task(("run", name, params))
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert isinstance(report, CheckReport) and not report.passed
+    assert BiPoly.from_text(report.witness.replace("z", "x"))  # lemma2 reports in z

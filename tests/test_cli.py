@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from catb2 import BiPoly, clear_caches
+from catb2 import BiPoly, checks, clear_caches
 from catb2 import cli
 from catb2 import constructions as cons
 from catb2.cli import SweepConfig, UsageError, build_tasks, main, parse_checks, parse_range, run_verify
@@ -112,10 +112,51 @@ def test_task_order_is_deterministic():
     assert names == ["theorem"] * 4 + ["saito"] * 2
 
 
+def test_cell_parameter_ranges():
+    # lemma1: l <= m+1; prop2: k <= m+k_extra; lemma3: k <= m+k_extra, l <= k+1
+    cfg = _cfg(checks=("lemma1", "prop2", "lemma3"), i_range=(1, 1), m_range=(1, 1))
+    cell = (("i", 1), ("m", 1))
+    assert build_tasks(cfg) == (
+        [("run", "lemma1", cell + (("l", l),)) for l in range(3)]
+        + [("run", "prop2", cell + (("k", k),)) for k in range(3)]
+        + [("run", "lemma3", cell + (("k", k), ("l", l))) for k in range(3) for l in range(k + 2)]
+    )
+
+
 def test_jobs_do_not_change_output():
     cfg1 = _cfg(i_range=(0, 2), m_range=(0, 2), checks=("parity", "degree"))
     cfg2 = _cfg(i_range=(0, 2), m_range=(0, 2), checks=("parity", "degree"), jobs=3)
     assert _verify_lines(cfg1) == _verify_lines(cfg2)
+
+
+@pytest.mark.parametrize("cpus, workers", [(3, 3), (64, 4), (None, None)])
+def test_pool_size_is_capped_by_cpus_and_tasks(monkeypatch, cpus, workers):
+    created = []
+
+    class InProcessPool:
+        """Records the requested pool size and runs the tasks in-process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    cfg = _cfg(checks=("degree",), jobs=5000)  # 4 tasks
+    code, lines = _verify_lines(cfg)
+    assert code == 0 and len(lines) == 4
+    assert created == ([] if workers is None else [workers])  # 1 worker runs in-process
 
 
 def test_exit_one_on_failure(monkeypatch):
@@ -241,15 +282,15 @@ def test_closed_stdout_exits_3_without_traceback():
 
 @pytest.fixture
 def broken_cell(monkeypatch):
-    """Make the theorem runner raise on cell (1, 0); every other cell runs."""
-    original = cli._RUNNERS["theorem"]
+    """Make the theorem check raise on cell (1, 0); every other cell runs."""
+    original = checks.check_theorem
 
-    def runner(p):
-        if (p["i"], p["m"]) == (1, 0):
+    def check(i, m):
+        if (i, m) == (1, 0):
             raise RuntimeError("boom\n  in cell (1, 0)")
-        return original(p)
+        return original(i, m)
 
-    monkeypatch.setitem(cli._RUNNERS, "theorem", runner)
+    monkeypatch.setattr(checks, "check_theorem", check)
 
 
 def test_crashing_cell_reports_error_and_sweep_continues(broken_cell, capsys):
@@ -278,7 +319,7 @@ def test_crashing_cell_json_record(broken_cell):
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="pool workers see the patched runner only when forked",
+    reason="pool workers see the patched check only when forked",
 )
 def test_crashing_cell_under_pool_matches_sequential(broken_cell):
     cfg = _cfg(i_range=(0, 2), m_range=(0, 2), checks=("theorem", "parity"))

@@ -36,6 +36,10 @@ def test_every_target_is_in_its_holders_namespace():
     assert set(tracing.MEMOS) <= memos
 
 
+def test_traced_checks_follow_the_registry_order():
+    assert _tracing().CHECKS == catb2.checks.CHECK_NAMES
+
+
 def test_no_poly_kernel_sits_on_two_classes():
     tracing = _tracing()
     for cls, attr in tracing.POLY_KERNELS.values():
