@@ -4,8 +4,9 @@
 report line per parameter cell, in an order that depends only on the
 configuration (never on timing or the worker count).  The tasks come from
 `checks.REGISTRY`, and `--jobs N` runs them on at most min(N, CPUs, tasks)
-processes.  `catb2 basis` prints the two basis polynomials for one m
-together with the extracted constants.
+processes, where CPUs counts only those the process may run on.  `catb2
+basis` prints the two basis polynomials for one m together with the
+extracted constants.
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 usage error,
 3 the harness broke (a check raised, reported as a RESULT=ERROR line while
@@ -137,12 +138,20 @@ def _format_line(task: Task, report: CheckReport | CellError | None, fmt: str) -
     return json.dumps(record)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_verify(cfg: SweepConfig, out: IO[str] | None = None) -> int:
     out = out if out is not None else sys.stdout
     tasks = build_tasks(cfg)
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0, "ERROR": 0}
     # The pool forks all its workers at once, so never more than can work.
-    workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(cfg.jobs, len(tasks), _usable_cpus())
     with contextlib.ExitStack() as stack:
         if workers == 1:
             results = map(execute_task, tasks)
@@ -213,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     pv.add_argument("--checks", default="all", metavar="LIST|all", help="comma-separated check names")
     pv.add_argument("--format", choices=("text", "json"), default="text")
     pv.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="worker processes, at most one per CPU and task"
+        "--jobs", type=int, default=1, metavar="N", help="worker processes, at most one per task and per CPU in the affinity mask"
     )
 
     pb = sub.add_parser("basis", help="print the basis polynomials and constants")

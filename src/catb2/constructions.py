@@ -218,21 +218,31 @@ def halfint_term(i: int, m: int, k: int, t: int) -> UniRatFunc:
     scalar *= falling_factorial(k + t, 2 * t)
     scalar *= falling_factorial(_half(i + 2 * m + t), t)
     scalar *= falling_factorial(_half(i + m + k), k - t)
+    return _halfint_y_factor(m, k, t) * scalar
+
+
+@_cached
+def _halfint_y_factor(m: int, k: int, t: int) -> UniRatFunc:
+    """(y+m-k-1/2)_(2m-2k) (y+m+k+1/2)_(k-t) (y-m-t-3/2)_(k-t), the factor of
+    `halfint_term` and `halfint_closed` (at t = l) that does not depend on i."""
     out = ff_unirat(_half(m - k - 1), 2 * m - 2 * k)
     out = out * ff_unipoly(_half(m + k), k - t)
-    out = out * ff_unipoly(-_half(m + t + 1), k - t)
-    return out * scalar
+    return out * ff_unipoly(-_half(m + t + 1), k - t)
 
 
 @_cached
 def halfint_tail(i: int, m: int, k: int, l: int) -> UniRatFunc:
-    """Partial sum of half-integer summands t = l..k (zero when l = k+1)."""
+    """Partial sum of half-integer summands t = l..k (zero when l = k+1),
+    built as the suffix sum halfint_term(l) + halfint_tail(l+1)."""
     if not 0 <= l <= k + 1:
         raise ValueError("l must satisfy 0 <= l <= k+1")
-    acc = UniRatFunc.zero()
-    for t in range(l, k + 1):
-        acc = acc + halfint_term(i, m, k, t)
-    return acc
+    if l == k + 1:
+        return UniRatFunc.zero()
+    # Fill the shorter tails first, so that no call recurses more than one
+    # level below this one, whatever k is.
+    for t in range(k, l, -1):
+        halfint_tail(i, m, k, t)
+    return halfint_term(i, m, k, l) + halfint_tail(i, m, k, l + 1)
 
 
 def halfint_combo(i: int, m: int, k: int, l: int) -> UniRatFunc:
@@ -272,11 +282,7 @@ def halfint_closed(i: int, m: int, k: int, l: int) -> UniRatFunc:
     slope = _half(i + 3 * m + l + 2)
     offset = _half(i + m + l) * _half(i + m - k) * _half(i + m + k + 1)
     brace = UniPoly({2: slope, 0: -i * i * slope + offset})
-    out = ff_unirat(_half(m - k - 1), 2 * m - 2 * k)
-    out = out * ff_unipoly(_half(m + k), k - l)
-    out = out * ff_unipoly(-_half(m + l + 1), k - l)
-    out = out * brace
-    return out * scalar
+    return _halfint_y_factor(m, k, l) * brace * scalar
 
 
 @_cached

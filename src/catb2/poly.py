@@ -505,6 +505,11 @@ def _falling(shift: RatLike, k: int) -> UniPoly:
     return UniPoly._canon(dict(enumerate(acc)), d**k)
 
 
+# The denominator of every polynomial and zero UniRatFunc; shared, as
+# polynomials are immutable.
+_UNIT = UniPoly.const(1)
+
+
 class UniRatFunc:
     """Quotient of univariate polynomials, kept unreduced.
 
@@ -516,11 +521,11 @@ class UniRatFunc:
 
     def __init__(self, numer: UniPoly, denom: UniPoly | None = None):
         if denom is None:
-            denom = UniPoly.const(1)
+            denom = _UNIT
         if not denom:
             raise ZeroDivisionError("zero denominator polynomial")
         if not numer:
-            denom = UniPoly.const(1)  # canonical zero keeps witnesses small
+            denom = _UNIT  # canonical zero keeps witnesses small
         self.numer = numer
         self.denom = denom
 
@@ -574,7 +579,7 @@ def ff_unirat(shift: RatLike, k: int) -> UniRatFunc:
     """
     if k >= 0:
         return UniRatFunc.from_poly(ff_unipoly(shift, k))
-    return UniRatFunc(UniPoly.const(1), ff_unipoly(_as_rat(shift) - k, -k))
+    return UniRatFunc(_UNIT, ff_unipoly(_as_rat(shift) - k, -k))
 
 
 # ------------------------------ text parser ------------------------------

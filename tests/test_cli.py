@@ -131,6 +131,9 @@ def test_jobs_do_not_change_output():
 
 @pytest.mark.parametrize("cpus, workers", [(3, 3), (64, 4), (None, None)])
 def test_pool_size_is_capped_by_cpus_and_tasks(monkeypatch, cpus, workers):
+    """`cpus` usable CPUs, first as the affinity mask of a 64-CPU host (None:
+    a mask of one CPU), then as the CPU count of a platform that has no
+    affinity call."""
     created = []
 
     class InProcessPool:
@@ -152,11 +155,22 @@ def test_pool_size_is_capped_by_cpus_and_tasks(monkeypatch, cpus, workers):
             pass
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     cfg = _cfg(checks=("degree",), jobs=5000)  # 4 tasks
-    code, lines = _verify_lines(cfg)
-    assert code == 0 and len(lines) == 4
-    assert created == ([] if workers is None else [workers])  # 1 worker runs in-process
+    expected = [] if workers is None else [workers]  # 1 worker runs in-process
+
+    def pool_sizes():
+        created.clear()
+        code, lines = _verify_lines(cfg)
+        assert code == 0 and len(lines) == 4
+        return created
+
+    mask = set(range(cpus or 1))
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: mask, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert pool_sizes() == expected
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert pool_sizes() == expected
 
 
 def test_exit_one_on_failure(monkeypatch):

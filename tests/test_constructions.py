@@ -1,9 +1,11 @@
 """Family polynomials, expansion machinery, and determinant constants."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
+import catb2.constructions as cons
 from catb2 import (
     BiPoly,
     UniPoly,
@@ -14,6 +16,7 @@ from catb2 import (
     Y_FORM,
     basis_derivation,
     beta_half,
+    clear_caches,
     defining_poly,
     deformed_poly,
     deformed_tail,
@@ -22,6 +25,8 @@ from catb2 import (
     falling_factorial,
     ff_poly,
     ff_unipoly,
+    ff_unirat,
+    halfint_closed,
     halfint_tail,
     halfint_term,
     integral_poly,
@@ -248,6 +253,75 @@ def test_halfint_tail_m_zero_constant_value():
                 -falling_factorial(_half(i + k), 2 * i + 1) / _half(i)
             )
             assert halfint_tail(i, 0, k, 0) == UniRatFunc.from_poly(expected), (i, k)
+
+
+def _parts(r: UniRatFunc) -> tuple[UniPoly, UniPoly]:
+    """The representation, which witnesses print; `==` only compares values."""
+    return r.numer, r.denom
+
+
+def _y_factor(m: int, k: int, t: int) -> UniRatFunc:
+    out = ff_unirat(_half(m - k - 1), 2 * m - 2 * k) * ff_unipoly(_half(m + k), k - t)
+    return out * ff_unipoly(-_half(m + t + 1), k - t)
+
+
+def test_halfint_tail_is_the_left_to_right_sum_of_terms():
+    for i in range(3):
+        for m in range(3):
+            for k in range(m + 4):
+                clear_caches()
+                halfint_tail(i, m, k, (k + 1) // 2)  # fills the shorter tails first
+                for l in range(k + 2):
+                    acc = UniRatFunc.zero()
+                    for t in range(l, k + 1):
+                        acc = acc + halfint_term(i, m, k, t)
+                    assert _parts(halfint_tail(i, m, k, l)) == _parts(acc), (i, m, k, l)
+
+
+def test_halfint_term_and_closed_form_scale_the_same_y_factor():
+    ff = falling_factorial
+    for i in range(3):
+        for m in range(3):
+            for k in range(m + 4):
+                for t in range(k + 1):
+                    scalar = -ff(_half(i - 1), 2 * i + m - k) * ff(m + t, m) * ff(k + t, 2 * t)
+                    scalar *= ff(_half(i + 2 * m + t), t) * ff(_half(i + m + k), k - t)
+                    expected = _y_factor(m, k, t) * scalar
+                    assert _parts(halfint_term(i, m, k, t)) == _parts(expected), (i, m, k, t)
+                assert halfint_closed(i, m, k, 0).is_zero
+                assert halfint_closed(i, m, k, k + 1).is_zero  # before the y factor
+                for l in range(1, k + 1):
+                    scalar = ff(m + l, m + 1) / (m + 1) * ff(k + l, 2 * l)
+                    scalar *= ff(_half(i - 1), 2 * i + m - k) * ff(_half(i + m + k), k - l)
+                    scalar *= ff(_half(i + 2 * m + l), l - 1)
+                    slope = _half(i + 3 * m + l + 2)
+                    offset = _half(i + m + l) * _half(i + m - k) * _half(i + m + k + 1)
+                    brace = UniPoly({2: slope, 0: -i * i * slope + offset})
+                    expected = _y_factor(m, k, l) * brace * scalar
+                    assert _parts(halfint_closed(i, m, k, l)) == _parts(expected), (i, m, k, l)
+
+
+def test_clear_caches_drops_the_halfint_y_factor():
+    halfint_term(1, 1, 2, 0)
+    assert cons._halfint_y_factor.cache_info().currsize > 0
+    clear_caches()
+    assert cons._halfint_y_factor.cache_info().currsize == 0
+
+
+def test_halfint_tail_depth_does_not_grow_with_k():
+    # A suffix sum that recursed once per summand would need k frames.
+    headroom, k = 40, 60
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    clear_caches()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        tail = halfint_tail(0, 0, k, 0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert tail == halfint_tail(0, 0, k, 1) + halfint_term(0, 0, k, 0)
 
 
 def test_defining_poly_base():

@@ -52,3 +52,14 @@ def test_no_poly_kernel_sits_on_two_classes():
             if any(value is fn for value in vars(getattr(catb2.poly, name)).values())
         ]
         assert owners == [cls], (cls, attr)
+
+
+def test_every_memo_exposes_what_the_benchmark_reads():
+    # perfbench/run.py reads cache_info() and __wrapped__.__name__ of every
+    # memo after a traced sweep, and clear_caches() calls cache_clear().
+    for fn in catb2.constructions._CACHES:
+        assert callable(fn.cache_info) and callable(fn.cache_clear)
+        assert isinstance(fn.__wrapped__.__name__, str)
+    memos = [fn.__wrapped__.__name__ for fn in catb2.constructions._CACHES]
+    assert len(set(memos)) == len(memos)  # the benchmark keys them by name
+    assert "_halfint_y_factor" in memos
