@@ -36,7 +36,7 @@ from .poly import (
     ff_unipoly,
     ff_unirat,
 )
-from .rational import FamilyIndex, beta_half, binomial, falling_factorial
+from .rational import beta_half, binomial, falling_factorial
 
 _CACHES: list = []
 
@@ -51,6 +51,13 @@ def clear_caches() -> None:
     """Drop all memoized values (used by mutation/soundness tests)."""
     for fn in _CACHES:
         fn.cache_clear()
+
+
+def _family_p(i: int, m: int) -> int:
+    """p = 2m + i of the family member (i, m), whose indices must be nonnegative."""
+    if i < 0 or m < 0:
+        raise ValueError("family indices must be nonnegative")
+    return 2 * m + i
 
 
 def _half(n: int) -> Fraction:
@@ -79,20 +86,20 @@ def integral_poly(i: int, m: int) -> BiPoly:
     Expands (t^2-x^2)^m (t^2-y^2)^m by two binomial theorems and integrates
     each t power via integral_0^x t^(2J) dt = x^(2J+1)/(2J+1).
     """
-    idx = FamilyIndex(i, m)
+    p = _family_p(i, m)
     acc = BiPoly.zero()
     for a in range(m + 1):
         for b in range(m + 1):
             sign = -1 if (2 * m - a - b) % 2 else 1
             c = Fraction(sign * binomial(m, a) * binomial(m, b), 2 * (i + a + b) + 1)
             acc = acc + BiPoly.monomial(c, 2 * (m - a) + 2 * (i + a + b) + 1, 2 * (m - b))
-    assert acc.degree() == 4 * idx.m + 2 * idx.i + 1
+    assert acc.degree() == 2 * p + 1
     return acc
 
 
 def poly_from_coeffs(i: int, m: int) -> BiPoly:
     """f[i,m] assembled from its closed-form coefficients c[i,m,k]."""
-    p = FamilyIndex(i, m).p
+    p = _family_p(i, m)
     acc = BiPoly.zero()
     for k in range(m + 1):
         acc = acc + BiPoly.monomial(integral_poly_coeff(i, m, k), 2 * p - 2 * k + 1, 2 * k)
@@ -102,7 +109,7 @@ def poly_from_coeffs(i: int, m: int) -> BiPoly:
 @_cached
 def deformed_poly(i: int, m: int) -> BiPoly:
     """The falling-factorial deformation ft[i,m](x, y)."""
-    p = FamilyIndex(i, m).p
+    p = _family_p(i, m)
     acc = BiPoly.zero()
     for k in range(m + 1):
         term = ff_poly("x", p - k, 2 * p - 2 * k + 1)

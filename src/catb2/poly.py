@@ -12,9 +12,8 @@ denominator with the common factor removed (`num`, `den`; the
 content/primitive-part form), so all arithmetic, root substitution
 (`reduce_mod`, `subst_value`) and the falling-factorial builders run in
 Python integers.  Fraction is the coefficient type at every interface:
-constructors take Fraction or int values, `coeff` and `eval` return
-Fraction, and `.terms` is a Fraction view built on first use for text,
-JSON and tests.
+constructors take Fraction or int values, `coeff` returns Fraction, and
+`.terms` is a Fraction view built on first use for text and tests.
 
 The canonical text form (also used for failure witnesses and by the CLI) is
 
@@ -92,7 +91,7 @@ class _IntPoly:
 
     @property
     def terms(self) -> dict:
-        """key -> nonzero Fraction; for text, JSON, evaluation and tests."""
+        """key -> nonzero Fraction; for text and tests."""
         if self._terms is None:
             den = self.den
             self._terms = {k: Fraction(n, den) for k, n in self.num.items()}
@@ -157,10 +156,6 @@ class UniPoly(_IntPoly):
 
     def coeff(self, e: int) -> Fraction:
         return Fraction(self.num.get(e, 0), self.den)
-
-    def eval(self, v: RatLike) -> Fraction:
-        v = _as_rat(v)
-        return sum((c * v**e for e, c in self.terms.items()), Fraction(0))
 
     def as_bipoly(self, var: str) -> BiPoly:
         if var not in ("x", "y"):
@@ -236,12 +231,6 @@ class BiPoly(_IntPoly):
         """Exchange x and y."""
         return BiPoly._raw({(ye, xe): n for (xe, ye), n in self.num.items()}, self.den)
 
-    def eval(self, x0: RatLike, y0: RatLike) -> Fraction:
-        x0, y0 = _as_rat(x0), _as_rat(y0)
-        return sum(
-            (c * x0**xe * y0**ye for (xe, ye), c in self.terms.items()), Fraction(0)
-        )
-
     def subst_affine(self, var: str, sign: int, target: str, shift: RatLike = 0) -> BiPoly:
         """Substitute var -> sign*target + shift (target may equal var).
 
@@ -273,27 +262,12 @@ class BiPoly(_IntPoly):
             raise ValueError("var must be 'x' or 'y'")
         return _subst_root(self, var, 0, _as_rat(value))
 
-    def as_unipoly(self, var: str) -> UniPoly:
-        """View as univariate in var; fails if the other variable occurs."""
-        if var not in ("x", "y"):
-            raise ValueError("var must be 'x' or 'y'")
-        acc: dict[int, int] = {}
-        for (xe, ye), n in self.num.items():
-            ve, other = (xe, ye) if var == "x" else (ye, xe)
-            if other:
-                raise ValueError(f"polynomial is not univariate in {var}")
-            acc[ve] = n
-        return UniPoly._raw(acc, self.den)
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in canonical order: decreasing x exponent, then decreasing y."""
-        return sorted(self.terms.items(), key=lambda kv: (-kv[0][0], -kv[0][1]))
-
     def to_text(self) -> str:
         if not self.num:
             return "0"
         rendered = []
-        for (xe, ye), c in self.sorted_terms():
+        # Keys are distinct, so this is decreasing x exponent, then decreasing y.
+        for (xe, ye), c in sorted(self.terms.items(), reverse=True):
             parts = [str(c)]
             if xe:
                 parts.append(f"x^{xe}")
@@ -305,31 +279,6 @@ class BiPoly(_IntPoly):
     @classmethod
     def from_text(cls, s: str) -> BiPoly:
         return _parse_poly(s)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "terms": [
-                {"x": xe, "y": ye, "c": str(c)} for (xe, ye), c in self.sorted_terms()
-            ]
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> BiPoly:
-        if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
-            raise ValueError("expected {'terms': [...]}")
-        acc: dict[Monomial, Fraction] = {}
-        for entry in obj["terms"]:
-            if not isinstance(entry, dict):
-                raise ValueError("term entries must be objects")
-            try:
-                xe, ye = entry["x"], entry["y"]
-                c = Fraction(entry["c"])
-            except (KeyError, ValueError, ZeroDivisionError, TypeError) as exc:
-                raise ValueError(f"bad term entry {entry!r}") from exc
-            if not isinstance(xe, int) or not isinstance(ye, int) or xe < 0 or ye < 0:
-                raise ValueError(f"bad exponents in {entry!r}")
-            acc[(xe, ye)] = acc.get((xe, ye), Fraction(0)) + c
-        return cls(acc)
 
     def __repr__(self) -> str:
         return f"BiPoly({self.to_text()!r})"
@@ -363,11 +312,6 @@ class LinearForm:
             # a*x + b*y + c = 0  =>  x = -a*b*y - a*c  (a, b are units)
             return _subst_root(p, "x", -self.a * self.b, -self.a * self.c)
         return _subst_root(p, "y", 0, -self.b * self.c)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
 
     def __repr__(self) -> str:
         return f"LinearForm({self.a}, {self.b}, {self.c!r})"
@@ -435,17 +379,6 @@ def divrem_linear(p: BiPoly, form: LinearForm) -> tuple[BiPoly, UniPoly]:
     return BiPoly(q_terms), UniPoly(rows.get(0, {}))
 
 
-def divisible_by_falling_product(
-    p: BiPoly, form: LinearForm, shift: RatLike, k: int
-) -> bool:
-    """True iff p is divisible by prod_{j=0}^{k-1} (form + shift - j).
-
-    The shifted forms are pairwise coprime, so divisibility by the product
-    is equivalent to each root substitution annihilating p.
-    """
-    return first_remainder(p, form, shift, k) is None
-
-
 def first_remainder(p: BiPoly, form: LinearForm, shift: RatLike, count: int) -> UniPoly | None:
     """First nonzero remainder of p modulo form+shift-j, j = 0..count-1."""
     for j in range(count):
@@ -453,16 +386,6 @@ def first_remainder(p: BiPoly, form: LinearForm, shift: RatLike, count: int) -> 
         if rem:
             return rem
     return None
-
-
-def constant_cofactor(p: UniPoly, d: UniPoly) -> Fraction:
-    """The constant lam with p = lam*d; raises if no such constant exists."""
-    if not d:
-        raise ValueError("zero divisor polynomial")
-    lam, residual = split_cofactor(p, d)
-    if residual:
-        raise ValueError("not a constant multiple")
-    return lam
 
 
 def split_cofactor(p: UniPoly, d: UniPoly) -> tuple[Fraction, UniPoly]:
@@ -473,7 +396,7 @@ def split_cofactor(p: UniPoly, d: UniPoly) -> tuple[Fraction, UniPoly]:
 
 def ff_poly(var: str, shift: RatLike, k: int) -> BiPoly:
     """Falling-factorial polynomial prod_{j=0}^{k-1} (var + shift - j), k >= 0."""
-    return _falling(shift, k).as_bipoly(var)
+    return ff_unipoly(shift, k).as_bipoly(var)
 
 
 def ff_linear_poly(form: LinearForm, shift: RatLike, k: int) -> BiPoly:
@@ -488,13 +411,11 @@ def ff_linear_poly(form: LinearForm, shift: RatLike, k: int) -> BiPoly:
 
 
 def ff_unipoly(shift: RatLike, k: int) -> UniPoly:
-    """Univariate falling-factorial product prod_{j=0}^{k-1} (v + shift - j)."""
-    return _falling(shift, k)
+    """Univariate falling-factorial product prod_{j=0}^{k-1} (v + shift - j).
 
-
-def _falling(shift: RatLike, k: int) -> UniPoly:
-    """ff_unipoly, also behind ff_poly: with shift = a/d, the product is
-    prod_j (d*v + a - j*d) / d^k, built in integers one factor at a time."""
+    With shift = a/d this is prod_j (d*v + a - j*d) / d^k, built in integers
+    one factor at a time.
+    """
     if k < 0:
         raise ValueError("negative length")
     shift = _as_rat(shift)
@@ -533,14 +454,6 @@ class UniRatFunc:
     def zero(cls) -> UniRatFunc:
         return cls(UniPoly())
 
-    @classmethod
-    def from_poly(cls, p: UniPoly) -> UniRatFunc:
-        return cls(p)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.numer
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniRatFunc):
             return NotImplemented
@@ -578,7 +491,7 @@ def ff_unirat(shift: RatLike, k: int) -> UniRatFunc:
     1 / prod_{j=0}^{|k|-1} (v + shift + |k| - j), a pure denominator.
     """
     if k >= 0:
-        return UniRatFunc.from_poly(ff_unipoly(shift, k))
+        return UniRatFunc(ff_unipoly(shift, k))
     return UniRatFunc(_UNIT, ff_unipoly(_as_rat(shift) - k, -k))
 
 

@@ -10,7 +10,6 @@ convention (a)_k = a*(a-1)*...*(a-k+1) and is extended to negative k by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 # str() of a Fraction is "num/den" with the denominator omitted when it is
@@ -57,18 +56,3 @@ def beta_half(u: int, i: int, m: int) -> Fraction:
         raise ValueError("beta_half arguments must be nonnegative")
     return math.factorial(m) / falling_factorial(Fraction(2 * (m + i + u) + 1, 2), m + 1)
 
-
-@dataclass(frozen=True)
-class FamilyIndex:
-    """Index (i, m) of one member of the polynomial family; p = 2m + i."""
-
-    i: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.i < 0 or self.m < 0:
-            raise ValueError("family indices must be nonnegative")
-
-    @property
-    def p(self) -> int:
-        return 2 * self.m + self.i

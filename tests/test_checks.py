@@ -179,24 +179,6 @@ def test_saito_zero_constant_has_nonzero_witness(monkeypatch, case):
     assert rep.witness == expected.to_text()
 
 
-def test_mutated_deformation_breaks_parity(monkeypatch):
-    original = cons.deformed_poly
-
-    def fake(i: int, m: int) -> BiPoly:
-        return original(i, m) + BiPoly.const(1)
-
-    clear_caches()
-    monkeypatch.setattr(cons, "deformed_poly", fake)
-    monkeypatch.setattr(ck, "deformed_poly", fake)
-    try:
-        rep = ck.check_parity(1, 2)
-        assert not rep.passed
-        assert BiPoly.from_text(rep.witness)
-    finally:
-        monkeypatch.undo()
-        clear_caches()
-
-
 def test_checks_are_pure_after_cache_clear():
     before = ck.check_prop3(1, 1)
     clear_caches()

@@ -16,14 +16,13 @@ from catb2 import (
     XPY_FORM,
     X_FORM,
     Y_FORM,
-    constant_cofactor,
-    divisible_by_falling_product,
     divrem_linear,
     ff_linear_poly,
     ff_poly,
     ff_unipoly,
     ff_unirat,
 )
+from catb2.poly import first_remainder, split_cofactor
 
 X = BiPoly.var("x")
 Y = BiPoly.var("y")
@@ -102,12 +101,6 @@ def test_subst_value():
     assert got == UniPoly({1: Fraction(1, 4)})
 
 
-def test_eval():
-    assert (X + Y).eval(1, 2) == 3
-    assert (X * X - Y * Y).eval(3, 3) == 0
-    assert (X * Y).eval(Fraction(1, 2), 4) == 2
-
-
 def test_divrem_difference_of_squares():
     q, r = divrem_linear(X * X - Y * Y, XPY_FORM)
     assert q == X - Y
@@ -136,17 +129,17 @@ def test_divrem_reconstruction(p, form, shift):
 
 
 def test_divisible_by_falling_product_examples():
-    assert divisible_by_falling_product(X * X - Y * Y, XPY_FORM, 0, 1)
-    assert not divisible_by_falling_product(X + Y + BiPoly.const(1), XPY_FORM, 0, 1)
+    assert first_remainder(X * X - Y * Y, XPY_FORM, 0, 1) is None
+    assert first_remainder(X + Y + BiPoly.const(1), XPY_FORM, 0, 1) == UniPoly.const(1)
     p = ff_linear_poly(XPY_FORM, 1, 3)
-    assert divisible_by_falling_product(p, XPY_FORM, 1, 3)
+    assert first_remainder(p, XPY_FORM, 1, 3) is None
 
 
 @given(bipolys, forms, shifts, st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
 def test_divisibility_of_constructed_multiples(p, form, shift, k):
     product = p * ff_linear_poly(form, shift, k)
-    assert divisible_by_falling_product(product, form, shift, k)
+    assert first_remainder(product, form, shift, k) is None
 
 
 @given(bipolys, bipolys)
@@ -162,20 +155,21 @@ def test_substitution_is_a_homomorphism(p, q):
 def test_constant_cofactor():
     x = UniPoly({1: 1})
     d = x * (x - UniPoly.const(1))
-    assert constant_cofactor(d * 2, d) == 2
-    assert constant_cofactor(UniPoly(), x) == 0
+    assert split_cofactor(d * 2, d) == (2, UniPoly())
+    assert split_cofactor(UniPoly(), x) == (0, UniPoly())
 
 
 def test_constant_cofactor_rejects_nonmultiple():
     x = UniPoly({1: 1})
-    with pytest.raises(ValueError, match="not a constant multiple"):
-        constant_cofactor(x * x + UniPoly.const(1), x)
+    lam, residual = split_cofactor(x * x + UniPoly.const(1), x)
+    assert residual  # no constant multiple of x equals x^2 + 1
+    assert (lam, residual) == (1, x * x - x + UniPoly.const(1))
 
 
 def test_unipoly_degree_and_eval():
     p = ff_unipoly(1, 3)  # (v+1)v(v-1)
     assert p.degree() == 3
-    assert p.eval(2) == 6
+    assert p.as_bipoly("x").subst_value("x", 2) == UniPoly.const(6)
     assert UniPoly().degree() == -1
 
 
@@ -236,7 +230,7 @@ def test_reduce_mod_matches_independent_routes(p, ab, c):
     assert _is_clean(rem)
     assert rem == divrem_linear(p, form)[1]  # long division
     if a and b:  # x = -a*b*y - a*c through the power-rebuilding substitution
-        assert rem == p.subst_affine("x", -a * b, "y", -a * c).as_unipoly("y")
+        assert rem.as_bipoly("y") == p.subst_affine("x", -a * b, "y", -a * c)
 
 
 def _naive_product(p, q) -> dict:

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from catb2 import FamilyIndex, beta_half, binomial, falling_factorial
+from catb2 import (
+    beta_half,
+    binomial,
+    deformed_poly,
+    falling_factorial,
+    integral_poly,
+    poly_from_coeffs,
+)
 
 rats = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -147,12 +154,10 @@ def test_rat_division_exact(a, b):
         assert (a / b) * b == a
 
 
-def test_family_index_p():
-    assert FamilyIndex(1, 0).p == 1
-    assert FamilyIndex(0, 3).p == 6
-    assert FamilyIndex(2, 4).p == 10
-
-
-def test_family_index_rejects_negative():
-    with pytest.raises(ValueError):
-        FamilyIndex(-1, 0)
+def test_negative_family_indices_are_rejected():
+    # Without the check, deformed_poly(0, -1) and poly_from_coeffs(0, -1)
+    # would sum over an empty k range and return 0.
+    for build in (deformed_poly, integral_poly, poly_from_coeffs):
+        for i, m in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="family indices must be nonnegative"):
+                build(i, m)

@@ -1,6 +1,5 @@
-"""Canonical text grammar, parser errors, and the JSON form."""
+"""Canonical text grammar and parser errors."""
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -48,20 +47,6 @@ def test_text_round_trip(p):
     assert BiPoly.from_text(p.to_text()) == p
 
 
-@given(bipolys)
-@settings(max_examples=100, deadline=None)
-def test_json_round_trip(p):
-    wire = json.dumps(p.to_json_dict())
-    assert BiPoly.from_json_dict(json.loads(wire)) == p
-
-
-def test_json_shape():
-    p = BiPoly({(1, 0): Fraction(-2, 15), (0, 0): 6})
-    assert p.to_json_dict() == {
-        "terms": [{"x": 1, "y": 0, "c": "-2/15"}, {"x": 0, "y": 0, "c": "6"}]
-    }
-
-
 @pytest.mark.parametrize(
     "text,col",
     [
@@ -88,12 +73,3 @@ def test_parse_error_line_tracking():
         BiPoly.from_text("1 * x^2 +\n2 * w^1")
     assert exc.value.line == 2
     assert exc.value.col == 5
-
-
-def test_from_json_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        BiPoly.from_json_dict({"terms": [{"x": -1, "y": 0, "c": "1"}]})
-    with pytest.raises(ValueError):
-        BiPoly.from_json_dict({"terms": [{"x": 0, "y": 0, "c": "1/0"}]})
-    with pytest.raises(ValueError):
-        BiPoly.from_json_dict({"nope": []})
