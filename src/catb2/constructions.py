@@ -21,12 +21,10 @@ All functions are pure; the memo caches only short-circuit recomputation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import (
     BiPoly,
-    LinearForm,
     UniPoly,
     UniRatFunc,
     XMY_FORM,
@@ -71,8 +69,7 @@ def integral_poly_coeff(i: int, m: int, k: int) -> Fraction:
 
     Equals (1/2) binom(m, m-k) (-1)^(m-k) B(m-k+i+1/2, m+1).
     """
-    if i < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
+    _family_p(i, m)
     if not 0 <= k <= m:
         raise ValueError("k must satisfy 0 <= k <= m")
     u = m - k
@@ -338,19 +335,8 @@ def saito_constant_integral(m: int) -> Fraction:
     return -sign * first * second
 
 
-@dataclass(frozen=True)
-class Derivation:
-    """Vector field coeff_x * d/dx + coeff_y * d/dy with polynomial parts."""
-
-    coeff_x: BiPoly
-    coeff_y: BiPoly
-
-    def apply_linear(self, form: LinearForm) -> BiPoly:
-        """Apply to a linear form: theta(a*x + b*y + c) = a*theta(x) + b*theta(y)."""
-        return self.coeff_x * form.a + self.coeff_y * form.b
-
-
-def basis_derivation(i: int, m: int) -> Derivation:
-    """The candidate basis member ft[i,m](x,y)*dx + ft[i,m](y,x)*dy."""
+def basis_derivation(i: int, m: int) -> tuple[BiPoly, BiPoly]:
+    """The candidate basis member ft[i,m](x,y)*dx + ft[i,m](y,x)*dy, as the
+    pair of its coefficients (ft[i,m](x,y), ft[i,m](y,x))."""
     f = deformed_poly(i, m)
-    return Derivation(coeff_x=f, coeff_y=f.swap())
+    return f, f.swap()

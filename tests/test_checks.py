@@ -1,5 +1,6 @@
 """Check layer: verdict structure, small grids, and mutation soundness."""
 
+import contextlib
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from catb2 import CHECK_NAMES, XPY_FORM, BiPoly, CheckReport, clear_caches
 from catb2 import checks as ck
 from catb2 import cli
 from catb2 import constructions as cons
+from catb2.poly import first_remainder
 
 
 @pytest.fixture
@@ -26,11 +28,6 @@ def poison(monkeypatch):
     yield apply
     monkeypatch.undo()
     clear_caches()
-
-
-@pytest.fixture
-def poisoned_coeff(poison):
-    poison((1, 1, 0), 1)
 
 
 def test_report_witness_invariant():
@@ -134,33 +131,6 @@ def test_membership_and_parity_and_degree():
             assert ck.check_degree(i, m).passed
 
 
-def test_mutation_flips_recurrence(poisoned_coeff):
-    rep = ck.check_prop1(1, 1)
-    assert not rep.passed
-    assert rep.witness is not None
-    assert BiPoly.from_text(rep.witness)  # nonzero witness polynomial
-
-
-def test_mutation_flips_expansion(poisoned_coeff):
-    rep = ck.check_expansion(1, 1)
-    assert not rep.passed
-    assert BiPoly.from_text(rep.witness)
-
-
-def test_mutation_flips_saito(poisoned_coeff):
-    rep = ck.check_saito(1)
-    assert not rep.passed
-    assert BiPoly.from_text(rep.witness)
-
-
-@pytest.mark.parametrize("check", [ck.check_theorem, ck.check_membership, ck.check_prop3])
-def test_mutation_flips_remainder_checks(poison, check):
-    poison((1, 2, 1), Fraction(1, 7))
-    rep = check(1, 2)
-    assert not rep.passed
-    assert BiPoly.from_text(rep.witness)
-
-
 @pytest.mark.parametrize("case", ["det", "phi", "one-route"])
 def test_saito_zero_constant_has_nonzero_witness(monkeypatch, case):
     monkeypatch.setattr(ck, "saito_constant", lambda m: Fraction(0))
@@ -186,11 +156,17 @@ def test_checks_are_pure_after_cache_clear():
     assert before == after
 
 
-def test_xpy_clause_of_membership_is_the_theorem_polynomial():
+def test_xpy_clause_of_membership_is_the_theorem_polynomial(poison):
+    # membership reads its x+y clause from the scan it shares with theorem,
+    # which must be the scan of theta(x+y) = f + g; poisoned so that one
+    # cell compares a nonzero remainder
+    poison((1, 2, 1), Fraction(1, 7))
+    assert ck._symmetric_remainder(1, 2) is not None
     for i in range(3):
         for m in range(3):
-            f = cons.deformed_poly(i, m)
-            assert cons.basis_derivation(i, m).apply_linear(XPY_FORM) == f + f.swap()
+            f, g = cons.basis_derivation(i, m)
+            scan = first_remainder(f + g, XPY_FORM, m, 2 * m + 1)
+            assert ck._symmetric_remainder(i, m) == scan
 
 
 def test_shared_remainder_scan_is_dropped_by_clear_caches():
@@ -251,10 +227,11 @@ MUTATIONS = {
 }
 
 
-@pytest.mark.parametrize("name", CHECK_NAMES)
-def test_mutation_matrix_flips_every_check(monkeypatch, name):
-    assert set(MUTATIONS) == set(CHECK_NAMES)  # a new check needs a mutation
-    target, at, perturb, params = MUTATIONS[name]
+@contextlib.contextmanager
+def mutated(target: str, at, perturb):
+    """Run the body with construction `target` perturbed by `perturb` at the
+    arguments `at` (None: all), on caches that are empty before and dropped
+    after."""
     original = getattr(cons, target)
 
     def fake(*args):
@@ -262,13 +239,21 @@ def test_mutation_matrix_flips_every_check(monkeypatch, name):
         return perturb(value, *args) if at is None or args == at else value
 
     clear_caches()
-    for module in (cons, ck):  # every namespace that calls it by this name
-        if vars(module).get(target) is original:
-            monkeypatch.setattr(module, target, fake)
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (cons, ck):  # every namespace that calls it by this name
+            if vars(module).get(target) is original:
+                mp.setattr(module, target, fake)
+        try:
+            yield
+        finally:
+            clear_caches()
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_mutation_matrix_flips_every_check(name):
+    assert set(MUTATIONS) == set(CHECK_NAMES)  # a new check needs a mutation
+    *mutation, params = MUTATIONS[name]
+    with mutated(*mutation):
         report = cli.execute_task(("run", name, params))
-    finally:
-        monkeypatch.undo()
-        clear_caches()
     assert isinstance(report, CheckReport) and not report.passed
     assert BiPoly.from_text(report.witness.replace("z", "x"))  # lemma2 reports in z

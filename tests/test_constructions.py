@@ -362,12 +362,10 @@ def test_saito_determinant_degree():
 def test_basis_derivation_components():
     for i in (0, 1):
         for m in range(3):
-            der = basis_derivation(i, m)
-            assert der.coeff_x == deformed_poly(i, m)
-            assert der.coeff_y == der.coeff_x.swap()
+            f, g = basis_derivation(i, m)
+            assert f == deformed_poly(i, m)
+            assert g == f.swap()
 
 
 def test_basis_derivation_euler_case():
-    der = basis_derivation(0, 0)
-    assert der.coeff_x == X
-    assert der.coeff_y == BiPoly.var("y")
+    assert basis_derivation(0, 0) == (X, BiPoly.var("y"))

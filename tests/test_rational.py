@@ -1,5 +1,6 @@
 """Scalar layer: exact rationals, falling factorials, binomials, Beta values."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from catb2 import (
     deformed_poly,
     falling_factorial,
     integral_poly,
+    integral_poly_coeff,
     poly_from_coeffs,
 )
 
@@ -157,7 +159,8 @@ def test_rat_division_exact(a, b):
 def test_negative_family_indices_are_rejected():
     # Without the check, deformed_poly(0, -1) and poly_from_coeffs(0, -1)
     # would sum over an empty k range and return 0.
-    for build in (deformed_poly, integral_poly, poly_from_coeffs):
+    coeff_at_k0 = functools.partial(integral_poly_coeff, k=0)
+    for build in (deformed_poly, integral_poly, poly_from_coeffs, coeff_at_k0):
         for i, m in ((-1, 0), (0, -1)):
             with pytest.raises(ValueError, match="family indices must be nonnegative"):
                 build(i, m)

@@ -1,8 +1,10 @@
-"""Every benchmark workload prints the report stream the benchmark recorded.
+"""Every benchmark workload prints the report stream the benchmark recorded,
+and a sweep under each mutation prints the witnesses recorded here.
 
 perfbench/run.py holds the sha256 of each workload's text report; the
 workloads are run here in process, so a change that alters one byte of a
-report fails tier-1 and not only the benchmark.
+report fails tier-1 and not only the benchmark.  The benchmark's runs all
+pass, so the failing-run stream is pinned separately.
 """
 
 import hashlib
@@ -13,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from catb2 import cli
+from test_checks import MUTATIONS, mutated
+
+from catb2 import CHECK_NAMES, BiPoly, cli
 from catb2.constructions import clear_caches
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -42,3 +46,25 @@ def test_workload_report_matches_the_recorded_digest(name):
     out = io.StringIO()
     assert cli.run_verify(cfg, out) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workload.digest
+
+
+# Each distinct perturbation of the mutation matrix once, then two more: one
+# in the leading x^(6m+3) y^(2m+1) coefficient of the defining polynomial
+# (saito), and one that fails only the y clause of parity.
+SWEEP_MUTATIONS = [
+    *dict.fromkeys(mutation[:3] for mutation in MUTATIONS.values()),
+    ("defining_poly", None, lambda phi, m: phi + BiPoly.monomial(1, 6 * m + 3, 2 * m + 1)),
+    ("deformed_poly", None, lambda f, i, m: f + BiPoly.monomial(1, 1, 1)),
+]
+MUTATION_RUNS_DIGEST = "382ce3f39683a3690de81440636b27b19023c02855208bec4dd3c508b75e6fee"
+
+
+def test_mutation_runs_report_the_recorded_witnesses():
+    cfg = cli.SweepConfig(
+        i_range=(0, 3), m_range=(0, 3), k_extra=3, checks=CHECK_NAMES, format="text", jobs=1
+    )
+    out = io.StringIO()
+    for mutation in SWEEP_MUTATIONS:
+        with mutated(*mutation):
+            assert cli.run_verify(cfg, out) == 1
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == MUTATION_RUNS_DIGEST
