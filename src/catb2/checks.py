@@ -39,7 +39,6 @@ from .poly import (
     XMY_FORM,
     XPY_FORM,
     X_FORM,
-    Y_FORM,
     ff_unipoly,
     first_remainder,
     split_cofactor,
@@ -259,17 +258,18 @@ def check_membership(i: int, m: int) -> CheckReport:
 
     its images theta(x) = f, theta(y) = g, theta(x+y) = f+g and
     theta(x-y) = f-g are each divisible by the full shifted product of that
-    hyperplane family.  The x+y clause is the scan theorem shares.
+    hyperplane family.  The x clause also covers theta(y): g = f.swap(), so
+    g modulo y+m-j is f modulo x+m-j.  The x+y clause is the scan theorem
+    shares.  Every remainder is left in y.
     """
     f, g = basis_derivation(i, m)
-    for form, image in ((X_FORM, f), (Y_FORM, g), (XPY_FORM, None), (XMY_FORM, f - g)):
+    for form, image in ((X_FORM, f), (XPY_FORM, None), (XMY_FORM, f - g)):
         if form is XPY_FORM:
             rem = _symmetric_remainder(i, m)
         else:
             rem = first_remainder(image, form, m, 2 * m + 1)
         if rem is not None:
-            var = "x" if form.a == 0 else "y"
-            return CheckReport(rem.to_text(var))
+            return CheckReport(rem.to_text("y"))
     return CheckReport()
 
 

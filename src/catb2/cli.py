@@ -3,10 +3,12 @@
 `catb2 verify` runs selected checks over an (i, m) grid and prints one
 report line per parameter cell, in an order that depends only on the
 configuration (never on timing or the worker count).  The tasks come from
-`checks.REGISTRY`, and `--jobs N` runs them on at most min(N, CPUs, tasks)
-processes, where CPUs counts only those the process may run on.  `catb2
-basis` prints the two basis polynomials for one m together with the
-extracted constants.
+`checks.REGISTRY`.  `--jobs N` hands whole groups of them (one m each, or
+one (m, i) cell when there are fewer m values than workers) to at most
+min(N, CPUs, groups) processes, largest m first, where CPUs counts only
+those the process may run on; the first line appears once the
+smallest-m group is done.  `catb2 basis` prints the two basis
+polynomials for one m together with the extracted constants.
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 usage error,
 3 the harness broke (a check raised, reported as a RESULT=ERROR line while
@@ -138,6 +140,28 @@ def _format_line(task: Task, report: CheckReport | CellError | None, fmt: str) -
     return json.dumps(record)
 
 
+def _task_groups(tasks: list[Task], workers: int) -> list[list[int]]:
+    """The indices of `tasks` in the groups a pool of `workers` runs whole:
+    every task of one m, so that one worker builds its constructions, or of
+    one (m, i) cell when there are fewer m values than workers.  lemma2's
+    (a, b) is (i, m); saito's task was kept for the first i and joins that
+    cell.  Largest m first (longest-processing-time-first), report order
+    inside a group."""
+    cells = [(p.get("m", p.get("b")), p.get("i", p.get("a"))) for p in (dict(t[2]) for t in tasks)]
+    first_i = min((i for _, i in cells if i is not None), default=0)
+    per_cell = len({m for m, _ in cells}) < workers
+    groups: dict = {}
+    for index, (m, i) in enumerate(cells):
+        key = (m, first_i if i is None else i) if per_cell else m
+        groups.setdefault(key, []).append(index)
+    return [groups[key] for key in sorted(groups, reverse=True)]
+
+
+def _execute_group(group: list[Task]) -> list[CheckReport | CellError | None]:
+    """Run a group of tasks in one worker.  Top level for pickling."""
+    return [execute_task(task) for task in group]
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
     has one, else every CPU of the host."""
@@ -151,18 +175,23 @@ def run_verify(cfg: SweepConfig, out: IO[str] | None = None) -> int:
     tasks = build_tasks(cfg)
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0, "ERROR": 0}
     # The pool forks all its workers at once, so never more than can work.
-    workers = min(cfg.jobs, len(tasks), _usable_cpus())
+    workers = min(cfg.jobs, _usable_cpus())
+    groups = _task_groups(tasks, workers) if workers > 1 else []
     with contextlib.ExitStack() as stack:
-        if workers == 1:
+        if len(groups) <= 1:
             results = map(execute_task, tasks)
         else:
             pool = stack.enter_context(
-                concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+                concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(groups)))
             )
-            # Runs first on exit: an early exit drops the queued tasks
+            # Runs first on exit: an early exit drops the queued groups
             # instead of waiting for all of them.
             stack.callback(pool.shutdown, cancel_futures=True)
-            results = pool.map(execute_task, tasks, chunksize=4)
+            slots = {}  # task index -> (its group's future, position in the group)
+            for group in groups:
+                future = pool.submit(_execute_group, [tasks[index] for index in group])
+                slots.update((index, (future, pos)) for pos, index in enumerate(group))
+            results = (future.result()[pos] for _, (future, pos) in sorted(slots.items()))
         for task, report in zip(tasks, results):
             counts[_result(report)] += 1
             print(_format_line(task, report, cfg.format), file=out)
@@ -222,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     pv.add_argument("--checks", default="all", metavar="LIST|all", help="comma-separated check names")
     pv.add_argument("--format", choices=("text", "json"), default="text")
     pv.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="worker processes, at most one per task and per CPU in the affinity mask"
+        "--jobs", type=int, default=1, metavar="N", help="worker processes, at most one per task group and per CPU in the affinity mask"
     )
 
     pb = sub.add_parser("basis", help="print the basis polynomials and constants")

@@ -12,7 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from catb2 import BiPoly, clear_caches
+from test_checks import mutated
+
+from catb2 import BiPoly
 from catb2 import checks as ck
 from catb2 import constructions as cons
 
@@ -186,23 +188,12 @@ def test_criterion_13_harness():
         failures.append(("elapsed", elapsed))
 
     # soundness: a single perturbed coefficient must surface as FAIL + witness
-    original = cons.integral_poly_coeff
-
-    def fake(i: int, m: int, k: int) -> Fraction:
-        value = original(i, m, k)
-        return value + 1 if (i, m, k) == (1, 2, 1) else value
-
-    clear_caches()
-    cons.integral_poly_coeff = fake
-    try:
+    with mutated("integral_poly_coeff", (1, 2, 1), lambda value, *args: value + 1):
         rep = ck.check_prop1(1, 2)
-        if rep.passed:
-            failures.append("mutation not detected")
-        elif not BiPoly.from_text(rep.witness):
-            failures.append("zero witness")
-    finally:
-        cons.integral_poly_coeff = original
-        clear_caches()
+    if rep.passed:
+        failures.append("mutation not detected")
+    elif not BiPoly.from_text(rep.witness):
+        failures.append("zero witness")
     _criterion(13, "default sweep green and mutation-sound", failures)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from catb2 import CHECK_NAMES, XPY_FORM, BiPoly, CheckReport, clear_caches
+from catb2 import CHECK_NAMES, X_FORM, XPY_FORM, Y_FORM, BiPoly, CheckReport, clear_caches
 from catb2 import checks as ck
 from catb2 import cli
 from catb2 import constructions as cons
@@ -167,6 +167,22 @@ def test_xpy_clause_of_membership_is_the_theorem_polynomial(poison):
             f, g = cons.basis_derivation(i, m)
             scan = first_remainder(f + g, XPY_FORM, m, 2 * m + 1)
             assert ck._symmetric_remainder(i, m) == scan
+
+
+def test_y_clause_of_membership_is_the_x_clause(poison):
+    # membership scans theta(x) = f alone: theta(y) = g = f.swap() leaves the
+    # same remainder modulo y+m-j as f modulo x+m-j.  Poisoned as membership's
+    # matrix row; j = 2m+1 leaves the family, so nonzero remainders compare too.
+    poison((1, 2, 1), Fraction(1, 7))
+    remainders = []
+    for i in range(3):
+        for m in range(3):
+            f, g = cons.basis_derivation(i, m)
+            for j in range(2 * m + 2):
+                rem = X_FORM.shifted(m - j).reduce_mod(f)
+                assert Y_FORM.shifted(m - j).reduce_mod(g) == rem
+                remainders.append(rem)
+    assert any(remainders)
 
 
 def test_shared_remainder_scan_is_dropped_by_clear_caches():

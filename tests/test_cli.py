@@ -1,5 +1,6 @@
 """Harness behaviour: ranges, selection, report formats, exit codes."""
 
+import concurrent.futures
 import dataclasses
 import io
 import json
@@ -10,9 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from catb2 import BiPoly, checks, clear_caches
+from test_checks import MUTATIONS, mutated
+
+from catb2 import BiPoly, checks
 from catb2 import cli
-from catb2 import constructions as cons
 from catb2.cli import SweepConfig, UsageError, build_tasks, main, parse_checks, parse_range, run_verify
 
 
@@ -148,8 +150,10 @@ def test_pool_size_is_capped_by_cpus_and_tasks(monkeypatch, cpus, workers):
         def __exit__(self, *exc):
             return None
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
         def shutdown(self, wait=True, cancel_futures=False):
             pass
@@ -173,26 +177,57 @@ def test_pool_size_is_capped_by_cpus_and_tasks(monkeypatch, cpus, workers):
     assert pool_sizes() == expected
 
 
-def test_exit_one_on_failure(monkeypatch):
-    original = cons.integral_poly_coeff
+def _group_key(task) -> tuple:
+    """(m, i) of a task as the scheduler reads it: lemma2's (a, b) is (i, m)."""
+    params = dict(task[2])
+    return params.get("m", params.get("b")), params.get("i", params.get("a"))
 
-    def fake(i: int, m: int, k: int) -> Fraction:
-        value = original(i, m, k)
-        return value + 1 if (i, m, k) == (1, 1, 0) else value
 
-    clear_caches()
-    monkeypatch.setattr(cons, "integral_poly_coeff", fake)
-    try:
+def test_task_groups_cover_every_task_once_by_descending_m():
+    tasks = build_tasks(_cfg(checks=parse_checks("all"), i_range=(0, 2), m_range=(0, 3)))
+    groups = cli._task_groups(tasks, workers=2)
+    assert sorted(index for group in groups for index in group) == list(range(len(tasks)))
+    assert all(group == sorted(group) for group in groups)  # report order inside
+    assert [{_group_key(tasks[index])[0] for index in group} for group in groups] == [
+        {3}, {2}, {1}, {0}
+    ]
+    lemma2 = [index for index, task in enumerate(tasks) if task[1] == "lemma2"]
+    assert len(lemma2) == 12
+    for index in lemma2:
+        b = dict(tasks[index][2])["b"]
+        assert index in groups[3 - b]
+
+
+def test_task_groups_split_a_sweep_of_fewer_m_than_workers_by_cell():
+    tasks = build_tasks(_cfg(checks=parse_checks("all"), i_range=(0, 6), m_range=(8, 8)))
+    assert cli._task_groups(tasks, workers=1) == [list(range(len(tasks)))]
+    groups = cli._task_groups(tasks, workers=2)
+    cells = [{_group_key(tasks[index]) for index in group} for group in groups]
+    # saito's task (no i) was kept for the first i and joins that cell
+    assert cells == [{(8, i)} for i in range(6, 0, -1)] + [{(8, 0), (8, None)}]
+
+
+def test_one_cell_sweep_runs_in_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-cell sweep started a pool")
+
+    cfg = _cfg(checks=parse_checks("all"), i_range=(1, 1), m_range=(1, 1))
+    sequential = _verify_lines(cfg)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert _verify_lines(dataclasses.replace(cfg, jobs=2)) == sequential
+
+
+def test_exit_one_on_failure():
+    *mutation, _ = MUTATIONS["expansion"]
+    with mutated(*mutation):
         code, lines = _verify_lines(
             _cfg(checks=("expansion",), i_range=(1, 1), m_range=(1, 1))
         )
-        assert code == 1
-        assert lines[0].startswith("CHECK=expansion i=1 m=1 RESULT=FAIL WITNESS=")
-        witness = lines[0].split("WITNESS=", 1)[1]
-        assert BiPoly.from_text(witness)
-    finally:
-        monkeypatch.undo()
-        clear_caches()
+    assert code == 1
+    assert lines[0].startswith("CHECK=expansion i=1 m=1 RESULT=FAIL WITNESS=")
+    witness = lines[0].split("WITNESS=", 1)[1]
+    assert BiPoly.from_text(witness)
 
 
 def test_main_unknown_check_is_usage_error(capsys):

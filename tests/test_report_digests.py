@@ -10,6 +10,7 @@ pass, so the failing-run stream is pinned separately.
 import hashlib
 import importlib.util
 import io
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -59,12 +60,25 @@ SWEEP_MUTATIONS = [
 MUTATION_RUNS_DIGEST = "382ce3f39683a3690de81440636b27b19023c02855208bec4dd3c508b75e6fee"
 
 
-def test_mutation_runs_report_the_recorded_witnesses():
+def _mutation_runs_digest(jobs: int) -> str:
     cfg = cli.SweepConfig(
-        i_range=(0, 3), m_range=(0, 3), k_extra=3, checks=CHECK_NAMES, format="text", jobs=1
+        i_range=(0, 3), m_range=(0, 3), k_extra=3, checks=CHECK_NAMES, format="text", jobs=jobs
     )
     out = io.StringIO()
     for mutation in SWEEP_MUTATIONS:
         with mutated(*mutation):
             assert cli.run_verify(cfg, out) == 1
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == MUTATION_RUNS_DIGEST
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_mutation_runs_report_the_recorded_witnesses():
+    assert _mutation_runs_digest(jobs=1) == MUTATION_RUNS_DIGEST
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see the patched constructions only when forked",
+)
+def test_mutation_runs_under_the_pool_report_the_recorded_witnesses(monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # a pool even on one CPU
+    assert _mutation_runs_digest(jobs=2) == MUTATION_RUNS_DIGEST
