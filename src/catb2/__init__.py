@@ -7,13 +7,11 @@ from .rational import beta_half, binomial, falling_factorial
 from .poly import (
     BiPoly,
     LinearForm,
-    PolyParseError,
     UniPoly,
     UniRatFunc,
     XMY_FORM,
     XPY_FORM,
     X_FORM,
-    Y_FORM,
     divrem_linear,
     ff_linear_poly,
     ff_poly,
@@ -50,13 +48,11 @@ __all__ = [
     "CHECK_NAMES",
     "CheckReport",
     "LinearForm",
-    "PolyParseError",
     "UniPoly",
     "UniRatFunc",
     "XMY_FORM",
     "XPY_FORM",
     "X_FORM",
-    "Y_FORM",
     "basis_derivation",
     "beta_half",
     "binomial",

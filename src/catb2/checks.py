@@ -25,6 +25,8 @@ from .constructions import (
     halfint_closed,
     halfint_combo,
     halfint_tail,
+    integral_poly,
+    poly_from_coeffs,
     saito_constant,
     saito_constant_integral,
     saito_determinant,
@@ -118,8 +120,6 @@ def _witness(diff: BiPoly | UniPoly | None, *var: str) -> str | None:
 
 def check_expansion(i: int, m: int) -> CheckReport:
     """Coefficient form of the integral polynomial vs direct integration."""
-    from .constructions import integral_poly, poly_from_coeffs
-
     return CheckReport(_witness(poly_from_coeffs(i, m) - integral_poly(i, m)))
 
 

@@ -11,8 +11,8 @@ smallest-m group is done.  `catb2 basis` prints the two basis
 polynomials for one m together with the extracted constants.
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 usage error,
-3 the harness broke (a check raised, reported as a RESULT=ERROR line while
-the sweep goes on, or the report could not be written, e.g. a closed pipe).
+3 the harness broke: a check raised (a RESULT=ERROR line; the sweep goes on),
+a `--jobs` worker died (the report is incomplete) or stdout closed early.
 """
 
 from __future__ import annotations
@@ -277,6 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"catb2: error: {exc}", file=sys.stderr)
         return 2
+    except concurrent.futures.BrokenExecutor:  # a worker was killed or exited
+        print("catb2: error: a worker process died; the report is incomplete", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         # The reader went away (e.g. `catb2 verify | head -1`).  Point stdout
         # at devnull so the interpreter's final flush cannot fail again.

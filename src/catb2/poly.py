@@ -15,7 +15,7 @@ Python integers.  Fraction is the coefficient type at every interface:
 constructors take Fraction or int values, `coeff` returns Fraction, and
 `.terms` is a Fraction view built on first use for text and tests.
 
-The canonical text form (also used for failure witnesses and by the CLI) is
+The canonical text form (written for failure witnesses and the CLI; never parsed) is
 
     poly := "0" | term (" + " term)*
     term := coef [" * x^" int] [" * y^" int]
@@ -33,15 +33,6 @@ from typing import Mapping
 from .rational import RatLike
 
 Monomial = tuple[int, int]  # (x exponent, y exponent)
-
-
-class PolyParseError(ValueError):
-    """Malformed polynomial text; carries 1-based line and column."""
-
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} (line {line}, column {col})")
-        self.line = line
-        self.col = col
 
 
 def _as_rat(value: RatLike) -> Fraction:
@@ -276,22 +267,18 @@ class BiPoly(_IntPoly):
             rendered.append(" * ".join(parts))
         return " + ".join(rendered)
 
-    @classmethod
-    def from_text(cls, s: str) -> BiPoly:
-        return _parse_poly(s)
-
     def __repr__(self) -> str:
         return f"BiPoly({self.to_text()!r})"
 
 
 class LinearForm:
-    """Hyperplane-style linear form a*x + b*y + c with a, b in {-1, 0, 1}."""
+    """Hyperplane-style linear form a*x + b*y + c with a in {-1, 1}, b in {-1, 0, 1}."""
 
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: int, b: int, c: RatLike = 0):
-        if a not in (-1, 0, 1) or b not in (-1, 0, 1) or (a, b) == (0, 0):
-            raise ValueError("linear form needs unit coefficients, not both zero")
+        if a not in (-1, 1) or b not in (-1, 0, 1):
+            raise ValueError("linear form needs a unit x coefficient and b in {-1, 0, 1}")
         self.a = a
         self.b = b
         self.c = _as_rat(c)
@@ -303,15 +290,11 @@ class LinearForm:
         return BiPoly({(1, 0): self.a, (0, 1): self.b, (0, 0): self.c})
 
     def reduce_mod(self, p: BiPoly) -> UniPoly:
-        """Remainder of p modulo this form: substitute the root expression.
+        """Remainder of p modulo this form, univariate in y.
 
-        The variable with nonzero unit coefficient is eliminated (x first);
-        the result is univariate in the surviving variable.
+        a*x + b*y + c = 0 gives x = -a*b*y - a*c (a is a unit); substitute it.
         """
-        if self.a != 0:
-            # a*x + b*y + c = 0  =>  x = -a*b*y - a*c  (a, b are units)
-            return _subst_root(p, "x", -self.a * self.b, -self.a * self.c)
-        return _subst_root(p, "y", 0, -self.b * self.c)
+        return _subst_root(p, "x", -self.a * self.b, -self.a * self.c)
 
     def __repr__(self) -> str:
         return f"LinearForm({self.a}, {self.b}, {self.c!r})"
@@ -350,7 +333,6 @@ def _times_linear(acc: list[int], lead: int, const: int) -> list[int]:
 
 
 X_FORM = LinearForm(1, 0)
-Y_FORM = LinearForm(0, 1)
 XPY_FORM = LinearForm(1, 1)
 XMY_FORM = LinearForm(1, -1)
 
@@ -358,23 +340,21 @@ XMY_FORM = LinearForm(1, -1)
 def divrem_linear(p: BiPoly, form: LinearForm) -> tuple[BiPoly, UniPoly]:
     """Exact division with remainder by a linear form: p = q*form + r.
 
-    r is p with the eliminated variable replaced by the root expression of
-    the form, hence univariate in the surviving variable; q and r are unique.
+    r is p with x replaced by the root expression of the form, hence
+    univariate in y; q and r are unique.
     """
-    elim = 0 if form.a != 0 else 1  # x first, as in reduce_mod
-    unit, other = (form.a, form.b) if elim == 0 else (form.b, form.a)
     rows: dict[int, dict[int, Fraction]] = {}
-    for key, c in p.terms.items():
-        rows.setdefault(key[elim], {})[key[1 - elim]] = c
+    for (xe, ye), c in p.terms.items():
+        rows.setdefault(xe, {})[ye] = c
     q_terms: dict[Monomial, Fraction] = {}
-    # Peel off the top row of the eliminated variable one step at a time:
-    # subtracting (c/unit)*elim^(e-1)*v^k*form cancels c*elim^e*v^k.
+    # Peel off the top x row one step at a time:
+    # subtracting (c/a)*x^(e-1)*y^k*form cancels c*x^e*y^k.
     for e in range(max(rows, default=0), 0, -1):
         lower = rows.setdefault(e - 1, {})
         for k, c in rows.pop(e, {}).items():
-            qc = c / unit
-            q_terms[(e - 1, k) if elim == 0 else (k, e - 1)] = qc
-            for ke, rc in ((k + 1, other), (k, form.c)):
+            qc = c / form.a
+            q_terms[(e - 1, k)] = qc
+            for ke, rc in ((k + 1, form.b), (k, form.c)):
                 lower[ke] = lower.get(ke, 0) - qc * rc
     return BiPoly(q_terms), UniPoly(rows.get(0, {}))
 
@@ -493,99 +473,3 @@ def ff_unirat(shift: RatLike, k: int) -> UniRatFunc:
     if k >= 0:
         return UniRatFunc(ff_unipoly(shift, k))
     return UniRatFunc(_UNIT, ff_unipoly(_as_rat(shift) - k, -k))
-
-
-# ------------------------------ text parser ------------------------------
-
-
-class _Scanner:
-    def __init__(self, s: str):
-        self.s = s
-        self.pos = 0
-
-    def _loc(self, pos: int) -> tuple[int, int]:
-        line = self.s.count("\n", 0, pos) + 1
-        col = pos - (self.s.rfind("\n", 0, pos) + 1) + 1
-        return line, col
-
-    def error(self, message: str, pos: int | None = None) -> PolyParseError:
-        line, col = self._loc(self.pos if pos is None else pos)
-        return PolyParseError(message, line, col)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.s) and self.s[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.s)
-
-    def take(self, ch: str) -> bool:
-        self.skip_ws()
-        if self.s.startswith(ch, self.pos):
-            self.pos += len(ch)
-            return True
-        return False
-
-    def expect_int(self, what: str, signed: bool = False) -> int:
-        self.skip_ws()
-        start = self.pos
-        if signed and self.pos < len(self.s) and self.s[self.pos] == "-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.s) and self.s[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
-            raise self.error(f"expected {what}", start)
-        return int(self.s[start : self.pos])
-
-    def expect_rat(self) -> Fraction:
-        num = self.expect_int("coefficient", signed=True)
-        if self.s.startswith("/", self.pos):  # no space inside "num/den"
-            self.pos += 1
-            den_pos = self.pos
-            den = self.expect_int("denominator")
-            if den == 0:
-                raise self.error("zero denominator", den_pos)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def expect_var_power(self) -> tuple[str, int]:
-        self.skip_ws()
-        start = self.pos
-        if self.pos >= len(self.s) or self.s[self.pos] not in "xy":
-            raise self.error("expected variable x or y", start)
-        name = self.s[self.pos]
-        self.pos += 1
-        if not self.s.startswith("^", self.pos):
-            raise self.error("expected '^' after variable")
-        self.pos += 1
-        expo = self.expect_int("exponent")
-        return name, expo
-
-
-def _parse_poly(s: str) -> BiPoly:
-    sc = _Scanner(s)
-    acc: dict[Monomial, Fraction] = {}
-    while True:
-        coef = sc.expect_rat()
-        xe = ye = 0
-        seen: set[str] = set()
-        while sc.take("*"):
-            sc.skip_ws()
-            pos = sc.pos
-            name, expo = sc.expect_var_power()
-            if name in seen:
-                raise sc.error(f"duplicate variable {name} in term", pos)
-            seen.add(name)
-            if name == "x":
-                xe = expo
-            else:
-                ye = expo
-        key = (xe, ye)
-        acc[key] = acc.get(key, Fraction(0)) + coef
-        if sc.at_end():
-            break
-        if not sc.take("+"):
-            raise sc.error("expected '+' between terms")
-    return BiPoly(acc)

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from test_checks import mutated
+from textform import parse
 
 from catb2 import BiPoly
 from catb2 import checks as ck
@@ -192,7 +193,7 @@ def test_criterion_13_harness():
         rep = ck.check_prop1(1, 2)
     if rep.passed:
         failures.append("mutation not detected")
-    elif not BiPoly.from_text(rep.witness):
+    elif not parse(rep.witness):
         failures.append("zero witness")
     _criterion(13, "default sweep green and mutation-sound", failures)
 

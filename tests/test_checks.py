@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from catb2 import CHECK_NAMES, X_FORM, XPY_FORM, Y_FORM, BiPoly, CheckReport, clear_caches
+from textform import parse
+
+from catb2 import CHECK_NAMES, X_FORM, XPY_FORM, BiPoly, CheckReport, clear_caches
 from catb2 import checks as ck
 from catb2 import cli
 from catb2 import constructions as cons
@@ -171,8 +173,9 @@ def test_xpy_clause_of_membership_is_the_theorem_polynomial(poison):
 
 def test_y_clause_of_membership_is_the_x_clause(poison):
     # membership scans theta(x) = f alone: theta(y) = g = f.swap() leaves the
-    # same remainder modulo y+m-j as f modulo x+m-j.  Poisoned as membership's
-    # matrix row; j = 2m+1 leaves the family, so nonzero remainders compare too.
+    # same remainder modulo y+m-j (g at y = j-m) as f modulo x+m-j.  Poisoned
+    # as membership's matrix row; j = 2m+1 leaves the family, so nonzero
+    # remainders compare too.
     poison((1, 2, 1), Fraction(1, 7))
     remainders = []
     for i in range(3):
@@ -180,7 +183,7 @@ def test_y_clause_of_membership_is_the_x_clause(poison):
             f, g = cons.basis_derivation(i, m)
             for j in range(2 * m + 2):
                 rem = X_FORM.shifted(m - j).reduce_mod(f)
-                assert Y_FORM.shifted(m - j).reduce_mod(g) == rem
+                assert g.subst_value("y", j - m) == rem
                 remainders.append(rem)
     assert any(remainders)
 
@@ -272,4 +275,4 @@ def test_mutation_matrix_flips_every_check(name):
     with mutated(*mutation):
         report = cli.execute_task(("run", name, params))
     assert isinstance(report, CheckReport) and not report.passed
-    assert BiPoly.from_text(report.witness.replace("z", "x"))  # lemma2 reports in z
+    assert parse(report.witness.replace("z", "x"))  # lemma2 reports in z

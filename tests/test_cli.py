@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,8 +13,9 @@ from fractions import Fraction
 import pytest
 
 from test_checks import MUTATIONS, mutated
+from textform import parse
 
-from catb2 import BiPoly, checks
+from catb2 import checks
 from catb2 import cli
 from catb2.cli import SweepConfig, UsageError, build_tasks, main, parse_checks, parse_range, run_verify
 
@@ -227,7 +229,7 @@ def test_exit_one_on_failure():
     assert code == 1
     assert lines[0].startswith("CHECK=expansion i=1 m=1 RESULT=FAIL WITNESS=")
     witness = lines[0].split("WITNESS=", 1)[1]
-    assert BiPoly.from_text(witness)
+    assert parse(witness)
 
 
 def test_main_unknown_check_is_usage_error(capsys):
@@ -270,10 +272,7 @@ def test_basis_json_round_trips(capsys):
     assert main(["basis", "--m", "1", "--format", "json"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert list(record) == ["f0", "f1", "C", "A0", "A1", "B0", "B1"]
-    f0 = BiPoly.from_text(record["f0"])
-    f1 = BiPoly.from_text(record["f1"])
-    assert f0.to_text() == record["f0"]
-    assert f1.to_text() == record["f1"]
+    assert parse(record["f0"]) and parse(record["f1"])  # canonical text
     assert Fraction(record["C"]) == Fraction(4, 105)
 
 
@@ -376,3 +375,22 @@ def test_crashing_cell_under_pool_matches_sequential(broken_cell):
     assert sequential[0] == 3
     assert "CHECK=theorem i=1 m=0 RESULT=ERROR" in sequential[1][3]
     assert _verify_lines(dataclasses.replace(cfg, jobs=2)) == sequential
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see the patched check only when forked",
+)
+def test_dead_worker_exits_three(monkeypatch, capsys):
+    original = checks.check_degree
+
+    def check(i, m):
+        if m == 3:
+            os._exit(9)  # as if the worker were killed
+        return original(i, m)
+
+    monkeypatch.setattr(checks, "check_degree", check)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert main(["verify", "--m", "0..3", "--checks", "degree", "--jobs", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err == "catb2: error: a worker process died; the report is incomplete\n"
