@@ -109,10 +109,8 @@ def deformed_poly(i: int, m: int) -> BiPoly:
     p = _family_p(i, m)
     acc = BiPoly.zero()
     for k in range(m + 1):
-        term = ff_poly("x", p - k, 2 * p - 2 * k + 1)
-        term = term * ff_poly("y", p - m, k)
-        term = term * ff_poly("y", m - p + k - 1, k)
-        acc = acc + term * integral_poly_coeff(i, m, k)
+        y = ff_unipoly(p - m, k) * ff_unipoly(m - p + k - 1, k) * integral_poly_coeff(i, m, k)
+        acc = acc + ff_poly("x", p - k, 2 * p - 2 * k + 1) * y.as_bipoly("y")
     return acc
 
 
@@ -127,20 +125,23 @@ def deformed_term(i: int, m: int, u: int) -> BiPoly:
         raise ValueError("u must satisfy 0 <= u <= m")
     sign = -1 if u % 2 else 1
     scalar = sign * binomial(m, u) * beta_half(u, i, m)
-    term = ff_poly("x", m + i + u, 2 * m + 2 * i + 2 * u + 1)
-    term = term * ff_poly("y", m + i, m - u)
-    term = term * ff_poly("y", -i - u - 1, m - u)
-    return term * scalar
+    y = ff_unipoly(m + i, m - u) * ff_unipoly(-i - u - 1, m - u) * scalar
+    return ff_poly("x", m + i + u, 2 * m + 2 * i + 2 * u + 1) * y.as_bipoly("y")
 
 
+@_cached
 def deformed_tail(i: int, m: int, l: int) -> BiPoly:
-    """Partial sum of expansion summands u = l..m (zero when l = m+1)."""
+    """Partial sum of expansion summands u = l..m (zero when l = m+1),
+    built as the suffix sum deformed_term(l) + deformed_tail(l+1)."""
     if not 0 <= l <= m + 1:
         raise ValueError("l must satisfy 0 <= l <= m+1")
-    acc = BiPoly.zero()
-    for u in range(l, m + 1):
-        acc = acc + deformed_term(i, m, u)
-    return acc
+    if l == m + 1:
+        return BiPoly.zero()
+    # Fill the shorter tails first, so that no call recurses more than one
+    # level below this one, whatever m is.
+    for u in range(m, l, -1):
+        deformed_tail(i, m, u)
+    return deformed_term(i, m, l) + deformed_tail(i, m, l + 1)
 
 
 def _recurrence_quad(const: int) -> BiPoly:
@@ -175,11 +176,9 @@ def tail_closed(i: int, m: int, l: int) -> BiPoly:
         return BiPoly.zero()
     sign = -1 if l % 2 else 1
     scalar = sign * b * beta_half(l, i, m)
-    quad = BiPoly({(0, 2): 1, (0, 0): l * (2 * m + 2 * i + l + 2) - i * i})
-    term = ff_poly("x", m + i + l, 2 * m + 2 * i + 2 * l + 1)
-    term = term * ff_poly("y", m + i, m - l)
-    term = term * ff_poly("y", -i - l - 1, m - l)
-    return quad * term * scalar
+    quad = UniPoly({2: 1, 0: l * (2 * m + 2 * i + l + 2) - i * i})
+    y = quad * ff_unipoly(m + i, m - l) * ff_unipoly(-i - l - 1, m - l) * scalar
+    return ff_poly("x", m + i + l, 2 * m + 2 * i + 2 * l + 1) * y.as_bipoly("y")
 
 
 def telescope_cleared_sides(a: int, b: int) -> tuple[UniPoly, UniPoly]:
@@ -297,16 +296,18 @@ def defining_poly(m: int) -> BiPoly:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    out = ff_poly("x", m, 2 * m + 1) * ff_poly("y", m, 2 * m + 1)
-    out = out * ff_linear_poly(XPY_FORM, m, 2 * m + 1)
-    return out * ff_linear_poly(XMY_FORM, m, 2 * m + 1)
+    out = ff_linear_poly(XPY_FORM, m, 2 * m + 1) * ff_linear_poly(XMY_FORM, m, 2 * m + 1)
+    return out * (ff_poly("x", m, 2 * m + 1) * ff_poly("y", m, 2 * m + 1))
 
 
 def saito_determinant(m: int) -> BiPoly:
-    """ft[0,m](x,y)*ft[1,m](y,x) - ft[0,m](y,x)*ft[1,m](x,y)."""
-    f0 = deformed_poly(0, m)
-    f1 = deformed_poly(1, m)
-    return f0 * f1.swap() - f0.swap() * f1
+    """ft[0,m](x,y)*ft[1,m](y,x) - ft[0,m](y,x)*ft[1,m](x,y).
+
+    Exchanging x and y is a ring automorphism, so the second product is the
+    first one swapped: with P = ft[0,m](x,y)*ft[1,m](y,x) this is P - P.swap().
+    """
+    product = deformed_poly(0, m) * deformed_poly(1, m).swap()
+    return product - product.swap()
 
 
 def saito_constant(m: int) -> Fraction:

@@ -303,17 +303,28 @@ class LinearForm:
 def _subst_root(p: BiPoly, var: str, slope: int, value: Fraction) -> UniPoly:
     """p with var replaced by slope*v + value, v the other variable.
 
-    A Taylor shift by Horner's rule over the rows p_e(v) of var^e, in
-    integers: with p = num / den and value = vn/vd,
+    In integers, with p = num / den and value = vn/vd,
 
-        den * vd^top * result = sum_e (slope*vd*v + vn)^e * vd^(top-e) * num_e(v).
+        den * vd^top * result = sum_e (slope*vd*v + vn)^e * vd^(top-e) * num_e(v),
+
+    num_e(v) the row of var^e.  For slope 0 each term n*var^e*v^k adds
+    n*vn^e*vd^(top-e) to v^k, read from one table of those weights; for
+    slope +-1 this is a Taylor shift by Horner's rule over the rows.
     """
     elim = 0 if var == "x" else 1
+    top = max((key[elim] for key in p.num), default=0)
+    vn, vd = value.numerator, value.denominator
+    if slope == 0:
+        weights = [vn**e * vd ** (top - e) for e in range(top + 1)]
+        out: dict[int, int] = {}
+        for key, n in p.num.items():
+            k = key[1 - elim]
+            out[k] = out.get(k, 0) + n * weights[key[elim]]
+        return UniPoly._canon(out, p.den * vd**top)
     rows: dict[int, dict[int, int]] = {}
     for key, n in p.num.items():
         rows.setdefault(key[elim], {})[key[1 - elim]] = n
-    top = max(rows, default=0)
-    lead, vn, vd = slope * value.denominator, value.numerator, value.denominator
+    lead = slope * vd
     acc: list[int] = []
     scale = 1  # vd^(top-e)
     for e in range(top, -1, -1):

@@ -1,5 +1,6 @@
 """Family polynomials, expansion machinery, and determinant constants."""
 
+import math
 import sys
 from fractions import Fraction
 
@@ -369,3 +370,199 @@ def test_basis_derivation_components():
 
 def test_basis_derivation_euler_case():
     assert basis_derivation(0, 0) == (X, BiPoly.var("y"))
+
+
+# ------------------- point evaluation of the definitions -------------------
+#
+# Each definition below uses only `falling_factorial`, `math.comb` and
+# Fraction; no polynomial kernel.  A BiPoly is evaluated by a naive sum
+# over its integer numerators.  Two polynomials of x degree <= dx and
+# y degree <= dy that agree on a grid of dx+1 by dy+1 points are equal,
+# so each comparison below is a proof of equality, not a sample.
+
+FF = falling_factorial
+
+
+def _value(p: BiPoly, x: Fraction, y: Fraction) -> Fraction:
+    """p(x, y) summed term by term from p.num and p.den."""
+    return sum((n * x**xe * y**ye for (xe, ye), n in p.num.items()), Fraction()) / p.den
+
+
+def _grid(count: int) -> list[Fraction]:
+    """count distinct rationals, most of them off the integers."""
+    return [Fraction(5 * j + 1, 3) - 7 for j in range(count)]
+
+
+def _assert_equal_on_grid(p: BiPoly, definition, dx: int, dy: int) -> None:
+    assert max((xe for xe, _ in p.num), default=0) <= dx
+    assert max((ye for _, ye in p.num), default=0) <= dy
+    for x in _grid(dx + 1):
+        for y in _grid(dy + 1):
+            assert _value(p, x, y) == definition(x, y), (x, y)
+
+
+def _beta(a: Fraction, m: int) -> Fraction:
+    """B(a, m+1) = integral_0^1 s^(a-1) (1-s)^m ds, expanded binomially."""
+    return sum((Fraction((-1) ** j * math.comb(m, j)) / (a + j) for j in range(m + 1)), Fraction())
+
+
+def _coeff(i: int, m: int, k: int) -> Fraction:
+    """c[i,m,k] read off integral_0^x t^(2i) (t^2-x^2)^m (t^2-y^2)^m dt, whose
+    y^(2k) terms come from (-y^2)^k t^(2m-2k) and every power of x^2."""
+    out = Fraction()
+    for a in range(m + 1):
+        sign = (-1) ** (m - a + k)
+        out += Fraction(sign * math.comb(m, a) * math.comb(m, k), 2 * (i + a + m - k) + 1)
+    return out
+
+
+def _deformed(i: int, m: int, x: Fraction, y: Fraction) -> Fraction:
+    p = 2 * m + i
+    out = Fraction()
+    for k in range(m + 1):
+        y_part = FF(y + p - m, k) * FF(y + m - p + k - 1, k)
+        out += _coeff(i, m, k) * FF(x + p - k, 2 * p - 2 * k + 1) * y_part
+    return out
+
+
+def _summand(i: int, m: int, u: int, x: Fraction, y: Fraction) -> Fraction:
+    scalar = (-1) ** u * math.comb(m, u) * _beta(Fraction(2 * (u + i) + 1, 2), m)
+    y_part = FF(y + m + i, m - u) * FF(y - i - u - 1, m - u)
+    return scalar * FF(x + m + i + u, 2 * m + 2 * i + 2 * u + 1) * y_part
+
+
+def _closed(i: int, m: int, l: int, x: Fraction, y: Fraction) -> Fraction:
+    if l > m:
+        return Fraction(0)
+    scalar = (-1) ** l * math.comb(m, l) * _beta(Fraction(2 * (l + i) + 1, 2), m)
+    brace = y * y + l * (2 * m + 2 * i + l + 2) - i * i
+    y_part = FF(y + m + i, m - l) * FF(y - i - l - 1, m - l)
+    return scalar * brace * FF(x + m + i + l, 2 * m + 2 * i + 2 * l + 1) * y_part
+
+
+def test_deformed_poly_and_terms_match_their_definitions_pointwise():
+    for i in range(3):
+        for m in range(3):
+            p = 2 * m + i
+            _assert_equal_on_grid(
+                deformed_poly(i, m), lambda x, y: _deformed(i, m, x, y), 2 * p + 1, 2 * m
+            )
+            for u in range(m + 1):
+                _assert_equal_on_grid(
+                    deformed_term(i, m, u),
+                    lambda x, y: _summand(i, m, u, x, y),
+                    2 * m + 2 * i + 2 * u + 1,
+                    2 * (m - u),
+                )
+
+
+def test_tails_and_closed_forms_match_their_definitions_pointwise():
+    for i in range(3):
+        for m in range(3):
+            clear_caches()
+            for l in range(m + 2):
+                _assert_equal_on_grid(
+                    deformed_tail(i, m, l),
+                    lambda x, y: sum(_summand(i, m, u, x, y) for u in range(l, m + 1)),
+                    4 * m + 2 * i + 1,
+                    2 * max(m - l, 0),
+                )
+                _assert_equal_on_grid(
+                    tail_closed(i, m, l),
+                    lambda x, y: _closed(i, m, l, x, y),
+                    2 * m + 2 * i + 2 * l + 1,
+                    2 * (m - l) + 2,
+                )
+
+
+def test_defining_poly_and_saito_determinant_match_their_definitions_pointwise():
+    for m in range(3):
+        n = 2 * m + 1
+        _assert_equal_on_grid(
+            defining_poly(m),
+            lambda x, y: FF(x + m, n) * FF(y + m, n) * FF(x + y + m, n) * FF(x - y + m, n),
+            3 * n,
+            3 * n,
+        )
+        _assert_equal_on_grid(
+            saito_determinant(m),
+            lambda x, y: _deformed(0, m, x, y) * _deformed(1, m, y, x)
+            - _deformed(0, m, y, x) * _deformed(1, m, x, y),
+            6 * m + 3,
+            6 * m + 3,
+        )
+
+
+# ------------------------------ sympy oracles ------------------------------
+
+
+def _to_sympy(p: BiPoly, x, y):
+    import sympy
+
+    return sum((sympy.Rational(n, p.den) * x**xe * y**ye for (xe, ye), n in p.num.items()), 0)
+
+
+def test_saito_determinant_factors_into_the_hyperplanes():
+    """Saito's criterion: the determinant is a constant times the product of
+    the 4(2m+1) hyperplanes, and that constant is `saito_constant`."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    for m in range(4):
+        constant, factors = sympy.factor_list(_to_sympy(saito_determinant(m), x, y), x, y)
+        assert all(sympy.Poly(f, x, y).total_degree() == 1 for f, _ in factors), m
+        assert sum(e for _, e in factors) == 4 * (2 * m + 1), m
+        c = saito_constant(m)
+        assert constant == sympy.Rational(c.numerator, c.denominator), m
+
+
+def test_integral_poly_matches_sympy_integrate():
+    sympy = pytest.importorskip("sympy")
+    t, x, y = sympy.symbols("t x y")
+    for i in range(3):
+        for m in range(4):
+            integrand = t ** (2 * i) * (t**2 - x**2) ** m * (t**2 - y**2) ** m
+            expected = sympy.integrate(integrand, (t, 0, x))
+            assert sympy.expand(expected - _to_sympy(integral_poly(i, m), x, y)) == 0, (i, m)
+
+
+# --------------------------- the deformed_tail memo ---------------------------
+
+
+def test_clear_caches_drops_the_deformed_tail():
+    deformed_tail(1, 2, 0)
+    assert cons.deformed_tail.cache_info().currsize > 0
+    clear_caches()
+    assert cons.deformed_tail.cache_info().currsize == 0
+
+
+def test_deformed_tail_depth_does_not_grow_with_m(monkeypatch):
+    # A suffix sum that recursed once per summand would need m frames,
+    # five times the default recursion limit here.
+    assert sys.getrecursionlimit() < 5000
+    one = BiPoly.const(1)
+    monkeypatch.setattr(cons, "deformed_term", lambda i, m, u: one)
+    clear_caches()
+    try:
+        assert deformed_tail(0, 5000, 0) == BiPoly.const(5001)
+    finally:
+        clear_caches()
+
+
+def test_a_perturbed_summand_moves_exactly_the_tails_that_contain_it(monkeypatch):
+    i, m = 1, 3
+    clear_caches()
+    plain = [deformed_tail(i, m, l) for l in range(m + 2)]
+    original = cons.deformed_term
+    bump = BiPoly.monomial(Fraction(1, 7), 0, 1)
+    try:
+        for u in range(m + 1):
+
+            def perturbed(i, m, v, u=u):
+                return original(i, m, v) + bump if v == u else original(i, m, v)
+
+            monkeypatch.setattr(cons, "deformed_term", perturbed)
+            clear_caches()
+            tails = [deformed_tail(i, m, l) for l in range(m + 2)]
+            assert [t != p for t, p in zip(tails, plain)] == [l <= u for l in range(m + 2)], u
+    finally:
+        clear_caches()

@@ -335,6 +335,31 @@ def test_substitutions_stay_canonical(p, ab, c, var, value):
     _checked(p.subst_value(var, value), {k: v for k, v in naive.items() if v})
 
 
+CONSTANT_SUBST_POLYS = {
+    "zero": BiPoly(),
+    "constant": BiPoly.const(Fraction(-7, 3)),
+    "mixed": X * X * Y - X * Fraction(1, 2) + Y * Fraction(3, 4) + BiPoly.const(4),
+    "high-degree": ff_poly("x", 20, 41) * (Y * Fraction(2, 3) - BiPoly.const(1))
+    + ff_poly("y", Fraction(9, 2), 30),
+}
+
+
+@pytest.mark.parametrize("name", CONSTANT_SUBST_POLYS)
+@pytest.mark.parametrize("value", [Fraction(0), Fraction(-3), Fraction(5, 2), Fraction(-7, 2)])
+def test_constant_substitution_edges(name, value):
+    # value 0 puts 0**0 into the power table; the x^0 terms must survive it.
+    p = CONSTANT_SUBST_POLYS[name]
+    got = p.subst_value("x", value)
+    assert _is_canonical(got), (got.num, got.den)
+    assert got == divrem_linear(p, X_FORM.shifted(-value))[1]
+    got = p.subst_value("y", value)
+    assert _is_canonical(got), (got.num, got.den)
+    naive: dict = {}
+    for (xe, ye), c in p.terms.items():
+        naive[xe] = naive.get(xe, Fraction(0)) + c * value**ye
+    assert got.terms == {e: c for e, c in naive.items() if c}
+
+
 def _naive_falling(shift: Fraction, k: int) -> dict:
     """prod_{j<k} (v + shift - j) by Fraction coefficient lists."""
     coeffs = [Fraction(1)]
