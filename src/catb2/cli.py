@@ -12,7 +12,8 @@ polynomials for one m together with the extracted constants.
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 usage error,
 3 the harness broke: a check raised (a RESULT=ERROR line; the sweep goes on),
-a `--jobs` worker died (the report is incomplete) or stdout closed early.
+a `--jobs` worker died (the report is incomplete) or the report could not
+be written, 130 interrupted (SIGINT; the report is incomplete).
 """
 
 from __future__ import annotations
@@ -181,9 +182,11 @@ def run_verify(cfg: SweepConfig, out: IO[str] | None = None) -> int:
         if len(groups) <= 1:
             results = map(execute_task, tasks)
         else:
-            pool = stack.enter_context(
-                concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(groups)))
-            )
+            import signal  # the pool loads it anyway; a sweep without a pool need not
+            # A worker dies silently on Ctrl-C; the parent reports the interrupt.
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
+                min(workers, len(groups)), initializer=signal.signal,
+                initargs=(signal.SIGINT, signal.SIG_DFL)))
             # Runs first on exit: an early exit drops the queued groups
             # instead of waiting for all of them.
             stack.callback(pool.shutdown, cancel_futures=True)
@@ -280,9 +283,15 @@ def main(argv: list[str] | None = None) -> int:
     except concurrent.futures.BrokenExecutor:  # a worker was killed or exited
         print("catb2: error: a worker process died; the report is incomplete", file=sys.stderr)
         return 3
-    except BrokenPipeError:
-        # The reader went away (e.g. `catb2 verify | head -1`).  Point stdout
-        # at devnull so the interpreter's final flush cannot fail again.
+    except KeyboardInterrupt:  # run_verify's ExitStack has cancelled the queued groups
+        print("catb2: interrupted; the report is incomplete", file=sys.stderr)
+        return 130
+    except OSError as exc:
+        # The report could not be written: the device is full, or the reader
+        # went away (`catb2 verify | head -1`, which needs no message).  Point
+        # stdout at devnull so the interpreter's final flush cannot fail again.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"catb2: error: {exc}; the report is incomplete", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .rational import RatLike
 
@@ -251,7 +251,7 @@ class BiPoly(_IntPoly):
         """Substitute a constant for var; the result lives in the other variable."""
         if var not in ("x", "y"):
             raise ValueError("var must be 'x' or 'y'")
-        return _subst_root(self, var, 0, _as_rat(value))
+        return next(_subst_roots(self, var, 0, [_as_rat(value)]))
 
     def to_text(self) -> str:
         if not self.num:
@@ -294,48 +294,61 @@ class LinearForm:
 
         a*x + b*y + c = 0 gives x = -a*b*y - a*c (a is a unit); substitute it.
         """
-        return _subst_root(p, "x", -self.a * self.b, -self.a * self.c)
+        return next(_subst_roots(p, "x", -self.a * self.b, [-self.a * self.c]))
 
     def __repr__(self) -> str:
         return f"LinearForm({self.a}, {self.b}, {self.c!r})"
 
 
-def _subst_root(p: BiPoly, var: str, slope: int, value: Fraction) -> UniPoly:
-    """p with var replaced by slope*v + value, v the other variable.
-
-    In integers, with p = num / den and value = vn/vd,
+def _subst_roots(p: BiPoly, var: str, slope: int, values: list[Fraction]) -> Iterator[UniPoly]:
+    """p with var replaced by slope*v + value, v the other variable, for
+    each value in turn.  In integers, with p = num / den and value = vn/vd,
 
         den * vd^top * result = sum_e (slope*vd*v + vn)^e * vd^(top-e) * num_e(v),
 
     num_e(v) the row of var^e.  For slope 0 each term n*var^e*v^k adds
-    n*vn^e*vd^(top-e) to v^k, read from one table of those weights; for
-    slope +-1 this is a Taylor shift by Horner's rule over the rows.
+    n*vn^e*vd^(top-e) to v^k, read from one table of those weights.  For
+    slope +-1 the rows are packed once per batch as the integers num_e(2^B)
+    (Kronecker substitution), Horner's rule over them gives the right side
+    at v = 2^B in a few big-int operations per row, and its coefficients
+    R_k are the signed base-2^B digits of that value if every
+    |R_k| < 2^(B-1).  The coefficients of (slope*vd*v + vn)^e sum to
+    (vd + |vn|)^e in absolute value, so with S_e = sum_k |n_(e,k)|,
+    |R_k| <= sum_e S_e * (vd + |vn|)^e * vd^(top-e); B is one more than the
+    bit length of that sum with vd + |vn| and vd at their largest in the batch.
     """
     elim = 0 if var == "x" else 1
     top = max((key[elim] for key in p.num), default=0)
-    vn, vd = value.numerator, value.denominator
     if slope == 0:
-        weights = [vn**e * vd ** (top - e) for e in range(top + 1)]
-        out: dict[int, int] = {}
-        for key, n in p.num.items():
-            k = key[1 - elim]
-            out[k] = out.get(k, 0) + n * weights[key[elim]]
-        return UniPoly._canon(out, p.den * vd**top)
-    rows: dict[int, dict[int, int]] = {}
+        for value in values:
+            vn, vd = value.numerator, value.denominator
+            weights = [vn**e * vd ** (top - e) for e in range(top + 1)]
+            out: dict[int, int] = {}
+            for key, n in p.num.items():
+                k = key[1 - elim]
+                out[k] = out.get(k, 0) + n * weights[key[elim]]
+            yield UniPoly._canon(out, p.den * vd**top)
+        return
+    sizes, rows = [0] * (top + 1), [0] * (top + 1)
     for key, n in p.num.items():
-        rows.setdefault(key[elim], {})[key[1 - elim]] = n
-    lead = slope * vd
-    acc: list[int] = []
-    scale = 1  # vd^(top-e)
-    for e in range(top, -1, -1):
-        acc = _times_linear(acc, lead, vn)
-        row = rows.get(e)
-        if row:
-            acc.extend([0] * (max(row) + 1 - len(acc)))
-            for k, n in row.items():
-                acc[k] += n * scale
-        scale *= vd
-    return UniPoly._canon(dict(enumerate(acc)), p.den * vd**top)
+        sizes[key[elim]] += abs(n)
+    reach = max((v.denominator + abs(v.numerator) for v in values), default=1)
+    vd_max = max((v.denominator for v in values), default=1)
+    bits = sum(s * reach**e * vd_max ** (top - e) for e, s in enumerate(sizes)).bit_length() + 1
+    for key, n in p.num.items():
+        rows[key[elim]] += n << (key[1 - elim] * bits)
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    for value in values:
+        vn, vd = value.numerator, value.denominator
+        lead, acc, scale = slope * vd, 0, 1
+        for row in reversed(rows):
+            acc = (acc * lead << bits) + acc * vn + row * scale
+            scale *= vd
+        out, k = {}, 0
+        while acc:  # the lowest signed digit, in [-half, half), then the rest
+            out[k] = digit = ((acc + half) & mask) - half
+            acc, k = (acc - digit) >> bits, k + 1
+        yield UniPoly._canon(out, p.den * vd**top)
 
 
 def _times_linear(acc: list[int], lead: int, const: int) -> list[int]:
@@ -372,11 +385,8 @@ def divrem_linear(p: BiPoly, form: LinearForm) -> tuple[BiPoly, UniPoly]:
 
 def first_remainder(p: BiPoly, form: LinearForm, shift: RatLike, count: int) -> UniPoly | None:
     """First nonzero remainder of p modulo form+shift-j, j = 0..count-1."""
-    for j in range(count):
-        rem = form.shifted(shift - j).reduce_mod(p)
-        if rem:
-            return rem
-    return None
+    roots = [-form.a * (form.c + shift - j) for j in range(count)]
+    return next(filter(None, _subst_roots(p, "x", -form.a * form.b, roots)), None)
 
 
 def split_cofactor(p: UniPoly, d: UniPoly) -> tuple[Fraction, UniPoly]:

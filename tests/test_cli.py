@@ -6,6 +6,7 @@ import io
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -143,7 +144,7 @@ def test_pool_size_is_capped_by_cpus_and_tasks(monkeypatch, cpus, workers):
     class InProcessPool:
         """Records the requested pool size and runs the tasks in-process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):
             created.append(max_workers)
 
         def __enter__(self):
@@ -326,6 +327,60 @@ def test_closed_stdout_exits_3_without_traceback():
         err = proc.stderr.read()
     assert proc.wait(timeout=60) == 3
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_full_device_exits_3_with_one_line():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "catb2", "verify", "--i", "0..1", "--m", "0..1"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        "catb2: error: [Errno 28] No space left on device; the report is incomplete"
+    )
+
+
+def test_interrupted_pool_is_shut_down(monkeypatch):
+    class Interrupted(io.StringIO):
+        def write(self, text: str) -> int:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(sys, "stdout", Interrupted())
+    argv = ["verify", "--i", "0..3", "--m", "0..3", "--checks", "parity,degree", "--jobs", "2"]
+    assert main(argv) == 130
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(os.name != "posix", reason="sends SIGINT")
+@pytest.mark.parametrize("jobs, whole_group", [(1, False), (2, False), (2, True)])
+def test_sigint_exits_130_without_traceback(jobs, whole_group):
+    """SIGINT after the first report line, to the parent only or, as Ctrl-C
+    at a terminal does, to the whole process group with the pool workers.
+    The report is larger than a pipe buffer and is not read meanwhile, so
+    the sweep cannot have ended before the signal."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "catb2", "verify", "--m", "0..12", "--format", "json",
+         "--jobs", str(jobs)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONUNBUFFERED": "1"},
+        start_new_session=True,
+    )
+    assert json.loads(proc.stdout.readline())["check"] == "expansion"
+    if whole_group:
+        os.killpg(proc.pid, signal.SIGINT)
+    else:
+        proc.send_signal(signal.SIGINT)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 130
+    assert b"Traceback" not in err
+    assert err.endswith(b"catb2: interrupted; the report is incomplete\n")
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Polynomial kernel: arithmetic, builders, substitution, division."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -223,6 +224,53 @@ def test_reduce_mod_matches_independent_routes(p, ab, c):
     assert rem == divrem_linear(p, form)[1]  # long division
     if b:  # x = -a*b*y - a*c through the power-rebuilding substitution
         assert rem.as_bipoly("y") == p.subst_affine("x", -a * b, "y", -a * c)
+
+
+@given(
+    bipolys,
+    st.sampled_from([XPY_FORM, XMY_FORM]),
+    st.integers(-8, 8).map(lambda n: Fraction(n, 2)),
+    st.integers(0, 5),
+    st.integers(0, 5),
+)
+@example(X + Y, XPY_FORM, Fraction(0), 3, 1)  # first nonzero at j = 1
+@example(X * Y + BiPoly.const(1), XMY_FORM, Fraction(3, 2), 4, 3)
+@settings(max_examples=150, deadline=None)
+def test_first_remainder_is_the_first_nonzero_long_division(p, form, shift, count, vanish):
+    # The factor makes the remainders at j < vanish zero, so the first
+    # nonzero one comes at a later shift.
+    p = p * ff_linear_poly(form, shift, vanish)
+    expected = None
+    for j in range(count):
+        rem = divrem_linear(p, form.shifted(shift - j))[1]
+        if rem:
+            expected = rem
+            break
+    got = first_remainder(p, form, shift, count)
+    assert got == expected
+    if got is not None:
+        assert _is_canonical(got) and _is_clean(got)
+
+
+def test_first_remainder_of_an_empty_scan_is_none():
+    for form in (X_FORM, XPY_FORM, XMY_FORM):
+        assert first_remainder(X + BiPoly.const(1), form, 0, 0) is None
+        assert first_remainder(BiPoly(), form, Fraction(1, 2), 0) is None
+
+
+@pytest.mark.parametrize("n", [1, -1, 3, -3, 7, -7, 2**70 - 1, -(2**70 - 1)])
+def test_remainder_at_the_packing_bound(n):
+    # For n*x^xe*y^ye modulo x+-y+c, with c = 0 (or any c when xe = 0), the
+    # remainder has the single coefficient +-n, and |n| is exactly the bound
+    # sum_e S_e*(vd+|vn|)^e*vd^(top-e) that sets the width of the packing.
+    exponents = [(0, 0), (0, 3), (1, 0), (2, 1), (5, 2)]
+    for form, (xe, ye) in itertools.product((XPY_FORM, XMY_FORM), exponents):
+        p = BiPoly.monomial(n, xe, ye)
+        for c in [Fraction(0)] if xe else [Fraction(0), Fraction(-5, 2), Fraction(7)]:
+            expected = divrem_linear(p, form.shifted(c))[1]
+            assert expected.num == {xe + ye: n * (-form.b) ** xe}
+            assert form.shifted(c).reduce_mod(p) == expected, (form, xe, ye, c)
+            assert first_remainder(p, form, c, 1) == expected, (form, xe, ye, c)
 
 
 def _naive_product(p, q) -> dict:
