@@ -158,7 +158,7 @@ def check_prop1(i: int, m: int) -> CheckReport:
 
 def check_prop2(i: int, m: int, k: int) -> CheckReport:
     """2*ft[i,m](-1/2-k, y) equals the half-integer evaluation series."""
-    lhs = (deformed_poly(i, m) * 2).subst_value("x", Fraction(-(2 * k + 1), 2))
+    lhs = deformed_poly(i, m).subst_value("x", Fraction(-(2 * k + 1), 2)) * 2
     witness = _witness(UniRatFunc(lhs).cross_diff(halfint_tail(i, m, k, 0)), "y")
     return CheckReport(witness)
 

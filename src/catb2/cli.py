@@ -182,14 +182,20 @@ def run_verify(cfg: SweepConfig, out: IO[str] | None = None) -> int:
         if len(groups) <= 1:
             results = map(execute_task, tasks)
         else:
-            import signal  # the pool loads it anyway; a sweep without a pool need not
+            import multiprocessing, signal  # the pool loads both; a sweep without one need not
             # A worker dies silently on Ctrl-C; the parent reports the interrupt.
+            others = set(multiprocessing.active_children())
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
                 min(workers, len(groups)), initializer=signal.signal,
                 initargs=(signal.SIGINT, signal.SIG_DFL)))
-            # Runs first on exit: an early exit drops the queued groups
-            # instead of waiting for all of them.
-            stack.callback(pool.shutdown, cancel_futures=True)
+            # Runs first on exit: an early exit drops the queued groups instead of
+            # waiting for them, and an exit by exception ends the running ones too.
+            def stop(error, *_):
+                for worker in set(multiprocessing.active_children()) - others if error else ():
+                    worker.terminate()
+                pool.shutdown(cancel_futures=True)
+
+            stack.push(stop)
             slots = {}  # task index -> (its group's future, position in the group)
             for group in groups:
                 future = pool.submit(_execute_group, [tasks[index] for index in group])

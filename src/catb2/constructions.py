@@ -21,6 +21,7 @@ All functions are pure; the memo caches only short-circuit recomputation.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .poly import (
@@ -34,7 +35,7 @@ from .poly import (
     ff_unipoly,
     ff_unirat,
 )
-from .rational import beta_half, binomial, falling_factorial
+from .rational import beta_half, binomial, falling_factorial, falling_factorial_pair
 
 _CACHES: list = []
 
@@ -56,11 +57,6 @@ def _family_p(i: int, m: int) -> int:
     if i < 0 or m < 0:
         raise ValueError("family indices must be nonnegative")
     return 2 * m + i
-
-
-def _half(n: int) -> Fraction:
-    """The half-integer n + 1/2."""
-    return Fraction(2 * n + 1, 2)
 
 
 @_cached
@@ -212,25 +208,29 @@ def halfint_term(i: int, m: int, k: int, t: int) -> UniRatFunc:
     (i+2m+t+1/2)_t (i+m+k+1/2)_(k-t) (y+m+k+1/2)_(k-t) (y-m-t-3/2)_(k-t).
 
     Negative-length falling factorials (k > m, or k > 2i+m) move to the
-    denominator, so the value is a rational function of y in general.
+    denominator, so the value is a rational function of y in general.  The
+    scalar is one product of integer pairs, made a Fraction once.
     """
     if min(i, m, k, t) < 0 or t > k:
         raise ValueError("need i, m, k >= 0 and 0 <= t <= k")
-    scalar = -falling_factorial(_half(i - 1), 2 * i + m - k)
-    scalar *= falling_factorial(m + t, m)
-    scalar *= falling_factorial(k + t, 2 * t)
-    scalar *= falling_factorial(_half(i + 2 * m + t), t)
-    scalar *= falling_factorial(_half(i + m + k), k - t)
-    return _halfint_y_factor(m, k, t) * scalar
+    # Integer factors go through `falling_factorial`, which mutation tests patch.
+    num, den = map(math.prod, zip(
+        falling_factorial_pair(2 * i - 1, 2, 2 * i + m - k),
+        falling_factorial(m + t, m).as_integer_ratio(),
+        falling_factorial(k + t, 2 * t).as_integer_ratio(),
+        falling_factorial_pair(2 * (i + 2 * m + t) + 1, 2, t),
+        falling_factorial_pair(2 * (i + m + k) + 1, 2, k - t),
+    ))
+    return _halfint_y_factor(m, k, t) * Fraction(-num, den)
 
 
 @_cached
 def _halfint_y_factor(m: int, k: int, t: int) -> UniRatFunc:
     """(y+m-k-1/2)_(2m-2k) (y+m+k+1/2)_(k-t) (y-m-t-3/2)_(k-t), the factor of
     `halfint_term` and `halfint_closed` (at t = l) that does not depend on i."""
-    out = ff_unirat(_half(m - k - 1), 2 * m - 2 * k)
-    out = out * ff_unipoly(_half(m + k), k - t)
-    return out * ff_unipoly(-_half(m + t + 1), k - t)
+    out = ff_unirat(Fraction(2 * (m - k) - 1, 2), 2 * m - 2 * k)
+    out = out * ff_unipoly(Fraction(2 * (m + k) + 1, 2), k - t)
+    return out * ff_unipoly(Fraction(-2 * (m + t) - 3, 2), k - t)
 
 
 @_cached
@@ -256,7 +256,7 @@ def halfint_combo(i: int, m: int, k: int, l: int) -> UniRatFunc:
     """
     if i < 1:
         raise ValueError("index i-1 undefined")
-    quad = UniPoly({2: 1, 0: _half(k) ** 2 - (i + m + 1) ** 2 - i * i})
+    quad = UniPoly({2: 1, 0: Fraction((2 * k + 1) ** 2 - 4 * ((i + m + 1) ** 2 + i * i), 4)})
     out = halfint_tail(i + 1, m, k, l) * -2
     out = out + halfint_tail(i, m, k, l) * quad
     out = out + halfint_tail(i - 1, m + 1, k, l) * Fraction(-(2 * i - 1), 2 * m + 2)
@@ -270,22 +270,25 @@ def halfint_closed(i: int, m: int, k: int, l: int) -> UniRatFunc:
     (i+2m+l+1/2)_(l-1) (y+m+k+1/2)_(k-l) (y+m-k-1/2)_(2m-2k)
     (y-m-l-3/2)_(k-l) {(y^2-i^2)(i+3m+l+5/2)
                        + (i+m+l+1/2)(i+m-k+1/2)(i+m+k+3/2)}.
+    The scalar (as in `halfint_term`) and 1/8 scale the integer brace times 8 first.
     """
     if not 0 <= l <= k + 1:
         raise ValueError("l must satisfy 0 <= l <= k+1")
-    scalar = falling_factorial(m + l, m + 1) / (m + 1)
-    scalar *= falling_factorial(k + l, 2 * l)
-    scalar *= falling_factorial(_half(i - 1), 2 * i + m - k)
-    scalar *= falling_factorial(_half(i + m + k), k - l)
-    scalar *= falling_factorial(_half(i + 2 * m + l), l - 1)
-    if scalar == 0:
+    num, den = map(math.prod, zip(
+        falling_factorial(m + l, m + 1).as_integer_ratio(),
+        falling_factorial(k + l, 2 * l).as_integer_ratio(),
+        falling_factorial_pair(2 * i - 1, 2, 2 * i + m - k),
+        falling_factorial_pair(2 * (i + m + k) + 1, 2, k - l),
+        falling_factorial_pair(2 * (i + 2 * m + l) + 1, 2, l - 1),
+    ))
+    if num == 0:
         # (m+l)_(m+1) = 0 at l = 0 and (k+l)_(2l) = 0 for l > k; stop before
         # the y factors, whose length k-l may be negative at l = k+1.
         return UniRatFunc.zero()
-    slope = _half(i + 3 * m + l + 2)
-    offset = _half(i + m + l) * _half(i + m - k) * _half(i + m + k + 1)
-    brace = UniPoly({2: slope, 0: -i * i * slope + offset})
-    return _halfint_y_factor(m, k, l) * brace * scalar
+    slope = 2 * (i + 3 * m + l + 2) + 1  # twice i+3m+l+5/2
+    offset = (2 * (i + m + l) + 1) * (2 * (i + m - k) + 1) * (2 * (i + m + k + 1) + 1)
+    brace = UniPoly({2: 4 * slope, 0: offset - 4 * i * i * slope})
+    return _halfint_y_factor(m, k, l) * (brace * Fraction(num, 8 * (m + 1) * den))
 
 
 @_cached

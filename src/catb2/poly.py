@@ -432,18 +432,22 @@ def ff_unipoly(shift: RatLike, k: int) -> UniPoly:
 _UNIT = UniPoly.const(1)
 
 
+def _times(p: UniPoly, q: UniPoly) -> UniPoly:
+    """p*q, skipping the product when either factor is the shared `_UNIT`."""
+    return p if q is _UNIT else q if p is _UNIT else p * q
+
+
 class UniRatFunc:
     """Quotient of univariate polynomials, kept unreduced.
 
     The denominator is never zero.  Equality is semantic, by
-    cross-multiplication, so representations need not match.
+    cross-multiplication, so representations need not match.  Products
+    with the shared `_UNIT` are skipped: p*1 is p, canonical already.
     """
 
     __slots__ = ("numer", "denom")
 
-    def __init__(self, numer: UniPoly, denom: UniPoly | None = None):
-        if denom is None:
-            denom = _UNIT
+    def __init__(self, numer: UniPoly, denom: UniPoly = _UNIT):
         if not denom:
             raise ZeroDivisionError("zero denominator polynomial")
         if not numer:
@@ -458,26 +462,24 @@ class UniRatFunc:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniRatFunc):
             return NotImplemented
-        return self.numer * other.denom == other.numer * self.denom
+        return not self.cross_diff(other)
 
     def cross_diff(self, other: UniRatFunc) -> UniPoly:
         """numer1*denom2 - numer2*denom1; zero iff the two values are equal."""
-        return self.numer * other.denom - other.numer * self.denom
+        return _times(self.numer, other.denom) - _times(other.numer, self.denom)
 
     def __add__(self, other: UniRatFunc) -> UniRatFunc:
         if self.denom == other.denom:
             return UniRatFunc(self.numer + other.numer, self.denom)
         return UniRatFunc(
-            self.numer * other.denom + other.numer * self.denom,
-            self.denom * other.denom,
+            _times(self.numer, other.denom) + _times(other.numer, self.denom),
+            _times(self.denom, other.denom),
         )
 
     def __mul__(self, other: UniRatFunc | UniPoly | RatLike) -> UniRatFunc:
         if isinstance(other, UniRatFunc):
-            return UniRatFunc(self.numer * other.numer, self.denom * other.denom)
-        if isinstance(other, UniPoly):
-            return UniRatFunc(self.numer * other, self.denom)
-        return UniRatFunc(self.numer * _as_rat(other), self.denom)
+            return UniRatFunc(_times(self.numer, other.numer), _times(self.denom, other.denom))
+        return UniRatFunc(self.numer * other, self.denom)  # a UniPoly or a scalar
 
     __rmul__ = __mul__
 

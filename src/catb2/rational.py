@@ -24,17 +24,21 @@ def falling_factorial(alpha: RatLike, k: int) -> Fraction:
     empty product equal to 1.  For k < 0 it is 1/(alpha+|k|)_{|k|}; that case
     raises if any of alpha+1, ..., alpha+|k| is zero.
     """
-    # In integers: with alpha = a/d, (alpha)_n = prod_{j<n} (a - j*d) / d^n.
-    a, d = alpha.numerator, alpha.denominator
+    return Fraction(*falling_factorial_pair(alpha.numerator, alpha.denominator, k))
+
+
+def falling_factorial_pair(a: int, d: int, k: int) -> tuple[int, int]:
+    """(a/d)_k, d > 0, as an unreduced integer pair (numerator, nonzero denominator)
+    with the poles of `falling_factorial`; (a/d)_n = prod_{j<n} (a - j*d) / d^n."""
     n = abs(k)
     if k < 0:
-        a += n * d  # (alpha)_k = 1 / (alpha + n)_n
+        a += n * d  # (a/d)_k = 1 / (a/d + n)_n
     num = math.prod(a - j * d for j in range(n))
     if k >= 0:
-        return Fraction(num, d**n)
+        return num, d**n
     if num == 0:
         raise ZeroDivisionError("falling factorial pole")
-    return Fraction(d**n, num)
+    return d**n, num
 
 
 def binomial(n: int, k: int) -> int:

@@ -128,6 +128,16 @@ def test_cell_parameter_ranges():
     )
 
 
+def test_half_integer_route_passes_far_beyond_the_poles():
+    """k - m up to 10: deeper negative-length falling factorials than any
+    benchmark workload or the mutation sweep reach."""
+    cfg = _cfg(checks=("prop2", "lemma3"), i_range=(0, 3), m_range=(0, 3), k_extra=10)
+    code, lines = _verify_lines(cfg)
+    assert code == 0
+    assert len(lines) == len(build_tasks(cfg))
+    assert all(line.endswith(("RESULT=PASS", "RESULT=SKIP")) for line in lines)
+
+
 def test_jobs_do_not_change_output():
     cfg1 = _cfg(i_range=(0, 2), m_range=(0, 2), checks=("parity", "degree"))
     cfg2 = _cfg(i_range=(0, 2), m_range=(0, 2), checks=("parity", "degree"), jobs=3)
@@ -381,6 +391,54 @@ def test_sigint_exits_130_without_traceback(jobs, whole_group):
     assert proc.returncode == 130
     assert b"Traceback" not in err
     assert err.endswith(b"catb2: interrupted; the report is incomplete\n")
+
+
+# A sweep whose m = 1 group never finishes: its worker reports its start on
+# stderr and then waits forever.  After main returns, the script reports the
+# children still alive.
+_BLOCKED_SWEEP = """
+import multiprocessing, sys, threading
+from catb2 import checks, cli
+
+original = checks.check_degree
+
+def check_degree(i, m):
+    if m == 1:
+        print("blocked", file=sys.stderr, flush=True)
+        threading.Event().wait()
+    return original(i, m)
+
+checks.check_degree = check_degree
+cli._usable_cpus = lambda: 2
+code = cli.main(["verify", "--i", "0", "--m", "0..1", "--checks", "degree", "--jobs", "2"])
+print("live children:", len(multiprocessing.active_children()), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(
+    os.name != "posix" or multiprocessing.get_start_method() != "fork",
+    reason="sends SIGINT; the workers see the patched check only when forked",
+)
+def test_sigint_to_the_parent_alone_ends_the_running_groups():
+    """The parent alone is signalled while a worker runs a group that cannot
+    finish: it must end that worker instead of waiting for it."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _BLOCKED_SWEEP],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        assert proc.stderr.readline() == b"blocked\n"
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=120)  # a guard against a hang only
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130
+    assert err == b"catb2: interrupted; the report is incomplete\nlive children: 0\n"
 
 
 @pytest.fixture

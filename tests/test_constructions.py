@@ -279,10 +279,12 @@ def test_halfint_tail_is_the_left_to_right_sum_of_terms():
 
 
 def test_halfint_term_and_closed_form_scale_the_same_y_factor():
+    """Over the halfint-k benchmark grid, against scalars multiplied out in
+    Fraction one falling factorial at a time."""
     ff = falling_factorial
-    for i in range(3):
-        for m in range(3):
-            for k in range(m + 4):
+    for i in range(5):
+        for m in range(5):
+            for k in range(m + 7):
                 for t in range(k + 1):
                     scalar = -ff(_half(i - 1), 2 * i + m - k) * ff(m + t, m) * ff(k + t, 2 * t)
                     scalar *= ff(_half(i + 2 * m + t), t) * ff(_half(i + m + k), k - t)

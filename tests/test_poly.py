@@ -22,7 +22,7 @@ from catb2 import (
     ff_unipoly,
     ff_unirat,
 )
-from catb2.poly import first_remainder, split_cofactor
+from catb2.poly import _UNIT, first_remainder, split_cofactor
 
 X = BiPoly.var("x")
 Y = BiPoly.var("y")
@@ -192,6 +192,33 @@ def test_unirat_equality_invariance(n, d, g):
     assert a == a
     assert a == b
     assert b == a
+
+
+def _parts(r: UniRatFunc) -> tuple[UniPoly, UniPoly]:
+    return r.numer, r.denom
+
+
+def test_unirat_unit_skips_match_plain_products():
+    """Sums, products and cross differences that skip the shared `_UNIT`
+    leave the same (numer, denom) as the plain products would."""
+    v = UniPoly({1: 1})
+    one = UniPoly.const(1)
+    assert one == _UNIT and one is not _UNIT  # a unit that is not the shared one
+    numers = [UniPoly(), _UNIT, one, v + one, v * Fraction(2, 3), v * v - one * 4]
+    denoms = [_UNIT, one, v - one * Fraction(1, 2), v * v * 3 + one]
+    values = [UniRatFunc(n, d) for n in numers for d in denoms]
+    for a, b in itertools.product(values, repeat=2):
+        if a.denom == b.denom:
+            plain_sum = UniRatFunc(a.numer + b.numer, a.denom)
+        else:
+            plain_sum = UniRatFunc(a.numer * b.denom + b.numer * a.denom, a.denom * b.denom)
+        assert _parts(a + b) == _parts(plain_sum), (a, b)
+        plain_product = UniRatFunc(a.numer * b.numer, a.denom * b.denom)
+        assert _parts(a * b) == _parts(plain_product), (a, b)
+        assert a.cross_diff(b) == a.numer * b.denom - b.numer * a.denom, (a, b)
+        assert (a == b) == (not a.numer * b.denom - b.numer * a.denom), (a, b)
+    for a, p in itertools.product(values, numers):
+        assert _parts(a * p) == _parts(UniRatFunc(a.numer * p, a.denom)), (a, p)
 
 
 def test_linear_form_validation():

@@ -16,6 +16,7 @@ from catb2 import (
     integral_poly_coeff,
     poly_from_coeffs,
 )
+from catb2.rational import falling_factorial_pair
 
 rats = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -94,6 +95,30 @@ def test_falling_factorial_matches_naive_loop(alpha, k):
     got = falling_factorial(alpha, k)
     assert type(got) is Fraction
     assert got == expected
+
+
+half_integers = st.integers(-9, 8).map(lambda n: Fraction(2 * n + 1, 2))
+
+
+@given(
+    st.one_of(st.integers(-8, 8), half_integers, st.fractions(-8, 8, max_denominator=6)),
+    st.integers(-8, 8),
+)
+@example(-1, -2)  # pole: (1)(0) in the denominator
+@example(Fraction(-3, 2), -1)  # half-integers have no pole: (-1/2) in the denominator
+@example(Fraction(5, 2), 3)
+def test_falling_factorial_pair_is_falling_factorial(alpha, k):
+    """The integer pair that `falling_factorial` and the half-integer scalars
+    share: the same value and the same poles, against the naive loop too."""
+    alpha = Fraction(alpha)
+    try:
+        expected = _naive_falling_factorial(alpha, k)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match="falling factorial pole"):
+            falling_factorial_pair(alpha.numerator, alpha.denominator, k)
+        return
+    num, den = falling_factorial_pair(alpha.numerator, alpha.denominator, k)
+    assert Fraction(num, den) == expected == falling_factorial(alpha, k)
 
 
 def test_binomial_outside_range_is_zero():
