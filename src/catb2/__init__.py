@@ -12,7 +12,6 @@ from .poly import (
     XMY_FORM,
     XPY_FORM,
     X_FORM,
-    divrem_linear,
     ff_linear_poly,
     ff_poly,
     ff_unipoly,
@@ -61,7 +60,6 @@ __all__ = [
     "deformed_poly",
     "deformed_tail",
     "deformed_term",
-    "divrem_linear",
     "falling_factorial",
     "ff_linear_poly",
     "ff_poly",

@@ -9,11 +9,12 @@ value, so everything here is safe to share across threads and to memoize.
 
 A UniPoly or BiPoly is stored as integer numerators over one positive
 denominator with the common factor removed (`num`, `den`; the
-content/primitive-part form), so all arithmetic, root substitution
-(`reduce_mod`, `subst_value`) and the falling-factorial builders run in
-Python integers.  Fraction is the coefficient type at every interface:
-constructors take Fraction or int values, `coeff` returns Fraction, and
-`.terms` is a Fraction view built on first use for text and tests.
+content/primitive-part form), so all arithmetic and the falling-factorial
+builders run in Python integers.  Every root substitution (`reduce_mod`,
+`subst_value`, `first_remainder`) is one packed integer Horner loop,
+`_subst_roots`.  Fraction is the coefficient type at every interface:
+constructors take Fraction or int values, `UniPoly.coeff` returns Fraction,
+and `.terms` is a Fraction view built on first use for text and tests.
 
 The canonical text form (written for failure witnesses and the CLI; never parsed) is
 
@@ -208,15 +209,9 @@ class BiPoly(_IntPoly):
             out = out * self
         return out
 
-    def coeff(self, xe: int, ye: int) -> Fraction:
-        return Fraction(self.num.get((xe, ye), 0), self.den)
-
     def degree(self) -> int:
         """Total degree, with the zero polynomial mapped to -1."""
         return max((xe + ye for xe, ye in self.num), default=-1)
-
-    def homogeneous_part(self, d: int) -> BiPoly:
-        return BiPoly._canon({k: n for k, n in self.num.items() if sum(k) == d}, self.den)
 
     def swap(self) -> BiPoly:
         """Exchange x and y."""
@@ -306,29 +301,18 @@ def _subst_roots(p: BiPoly, var: str, slope: int, values: list[Fraction]) -> Ite
 
         den * vd^top * result = sum_e (slope*vd*v + vn)^e * vd^(top-e) * num_e(v),
 
-    num_e(v) the row of var^e.  For slope 0 each term n*var^e*v^k adds
-    n*vn^e*vd^(top-e) to v^k, read from one table of those weights.  For
-    slope +-1 the rows are packed once per batch as the integers num_e(2^B)
-    (Kronecker substitution), Horner's rule over them gives the right side
-    at v = 2^B in a few big-int operations per row, and its coefficients
-    R_k are the signed base-2^B digits of that value if every
-    |R_k| < 2^(B-1).  The coefficients of (slope*vd*v + vn)^e sum to
-    (vd + |vn|)^e in absolute value, so with S_e = sum_k |n_(e,k)|,
-    |R_k| <= sum_e S_e * (vd + |vn|)^e * vd^(top-e); B is one more than the
-    bit length of that sum with vd + |vn| and vd at their largest in the batch.
+    num_e(v) the row of var^e.  The rows are packed once per batch as the
+    integers num_e(2^B) (Kronecker substitution), Horner's rule over them
+    gives the right side at v = 2^B in a few big-int operations per row, and
+    its coefficients R_k are the signed base-2^B digits of that value if
+    every |R_k| < 2^(B-1).  The coefficients of (slope*vd*v + vn)^e sum to
+    at most (vd + |vn|)^e in absolute value (slope is 0 or +-1), so with
+    S_e = sum_k |n_(e,k)|, |R_k| <= sum_e S_e * (vd + |vn|)^e * vd^(top-e);
+    B is one more than the bit length of that sum with vd + |vn| and vd at
+    their largest in the batch.
     """
     elim = 0 if var == "x" else 1
     top = max((key[elim] for key in p.num), default=0)
-    if slope == 0:
-        for value in values:
-            vn, vd = value.numerator, value.denominator
-            weights = [vn**e * vd ** (top - e) for e in range(top + 1)]
-            out: dict[int, int] = {}
-            for key, n in p.num.items():
-                k = key[1 - elim]
-                out[k] = out.get(k, 0) + n * weights[key[elim]]
-            yield UniPoly._canon(out, p.den * vd**top)
-        return
     sizes, rows = [0] * (top + 1), [0] * (top + 1)
     for key, n in p.num.items():
         sizes[key[elim]] += abs(n)
@@ -359,28 +343,6 @@ def _times_linear(acc: list[int], lead: int, const: int) -> list[int]:
 X_FORM = LinearForm(1, 0)
 XPY_FORM = LinearForm(1, 1)
 XMY_FORM = LinearForm(1, -1)
-
-
-def divrem_linear(p: BiPoly, form: LinearForm) -> tuple[BiPoly, UniPoly]:
-    """Exact division with remainder by a linear form: p = q*form + r.
-
-    r is p with x replaced by the root expression of the form, hence
-    univariate in y; q and r are unique.
-    """
-    rows: dict[int, dict[int, Fraction]] = {}
-    for (xe, ye), c in p.terms.items():
-        rows.setdefault(xe, {})[ye] = c
-    q_terms: dict[Monomial, Fraction] = {}
-    # Peel off the top x row one step at a time:
-    # subtracting (c/a)*x^(e-1)*y^k*form cancels c*x^e*y^k.
-    for e in range(max(rows, default=0), 0, -1):
-        lower = rows.setdefault(e - 1, {})
-        for k, c in rows.pop(e, {}).items():
-            qc = c / form.a
-            q_terms[(e - 1, k)] = qc
-            for ke, rc in ((k + 1, form.b), (k, form.c)):
-                lower[ke] = lower.get(ke, 0) - qc * rc
-    return BiPoly(q_terms), UniPoly(rows.get(0, {}))
 
 
 def first_remainder(p: BiPoly, form: LinearForm, shift: RatLike, count: int) -> UniPoly | None:

@@ -16,13 +16,13 @@ from catb2 import (
     XMY_FORM,
     XPY_FORM,
     X_FORM,
-    divrem_linear,
     ff_linear_poly,
     ff_poly,
     ff_unipoly,
     ff_unirat,
 )
-from catb2.poly import _UNIT, first_remainder, split_cofactor
+from catb2.poly import _UNIT, _subst_roots, first_remainder, split_cofactor
+from oracles import divrem_linear
 
 X = BiPoly.var("x")
 Y = BiPoly.var("y")
@@ -279,6 +279,37 @@ def test_first_remainder_is_the_first_nonzero_long_division(p, form, shift, coun
         assert _is_canonical(got) and _is_clean(got)
 
 
+def _naive_at_x(p, value: Fraction) -> UniPoly:
+    out: dict = {}
+    for (xe, ye), c in p.terms.items():
+        out[ye] = out.get(ye, Fraction(0)) + c * value**xe
+    return UniPoly(out)
+
+
+@given(
+    bipolys,
+    st.fractions(-4, 4, max_denominator=7).filter(lambda s: s.denominator > 1),
+    st.integers(2, 5),
+    st.integers(0, 5),
+)
+@example(X * X * Y - X * Fraction(1, 3) + BiPoly.const(2), Fraction(-5, 2), 3, 1)
+# The x^0 row dominates: its bound term is S_0 * vd^top, so the width of the
+# packing needs the vd^(top-e) factor.
+@example(X**5 + BiPoly.const(1000), Fraction(-1, 7), 2, 0)
+@settings(max_examples=150, deadline=None)
+def test_slope_zero_batches_match_fraction_evaluation(p, shift, count, vanish):
+    # Modulo x + shift - j the remainder is p at x = j - shift: a batch of
+    # non-integer roots through the packed loop with slope 0.  The factor
+    # zeroes the first `vanish` roots, so later ones are reached.
+    p = p * ff_poly("x", shift, vanish)
+    roots = [j - shift for j in range(count)]
+    expected = next(filter(None, (_naive_at_x(p, r) for r in roots)), None)
+    assert first_remainder(p, X_FORM, shift, count) == expected
+    # The same batch with the root 0 added and mixed denominators, every root read.
+    roots += [Fraction(0), Fraction(count)]
+    assert list(_subst_roots(p, "x", 0, roots)) == [_naive_at_x(p, r) for r in roots]
+
+
 def test_first_remainder_of_an_empty_scan_is_none():
     for form in (X_FORM, XPY_FORM, XMY_FORM):
         assert first_remainder(X + BiPoly.const(1), form, 0, 0) is None
@@ -422,7 +453,7 @@ CONSTANT_SUBST_POLYS = {
 @pytest.mark.parametrize("name", CONSTANT_SUBST_POLYS)
 @pytest.mark.parametrize("value", [Fraction(0), Fraction(-3), Fraction(5, 2), Fraction(-7, 2)])
 def test_constant_substitution_edges(name, value):
-    # value 0 puts 0**0 into the power table; the x^0 terms must survive it.
+    # value 0 makes vn = 0 in the Horner step; the x^0 terms must survive it.
     p = CONSTANT_SUBST_POLYS[name]
     got = p.subst_value("x", value)
     assert _is_canonical(got), (got.num, got.den)
