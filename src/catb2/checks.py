@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .constructions import (
-    _cached,
     _recurrence_quad,
     basis_derivation,
     defining_poly,
@@ -45,6 +44,7 @@ from .poly import (
     first_remainder,
     split_cofactor,
 )
+from .rational import _cached
 
 Params = tuple[tuple[str, int], ...]
 

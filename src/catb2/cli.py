@@ -19,14 +19,13 @@ be written, 130 interrupted (SIGINT; the report is incomplete).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import json
 import os
 import sys
 import traceback
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterator
 
 from . import checks
 from .checks import CHECK_NAMES, REGISTRY, CheckReport, Params
@@ -38,6 +37,10 @@ Task = tuple[str, str, Params]
 
 class UsageError(ValueError):
     pass
+
+
+class WorkerDied(RuntimeError):
+    """A `--jobs` worker was killed or exited; the report is incomplete."""
 
 
 class CellError(str):
@@ -171,6 +174,36 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _pool_results(stack: contextlib.ExitStack, tasks: list[Task], groups: list[list[int]],
+                  workers: int) -> Iterator[CheckReport | CellError | None]:
+    """The report of each task in order, from a pool of `workers` processes
+    that runs one group per submission and that `stack` shuts down.  Only this
+    path loads the pool's modules; a dead worker raises WorkerDied."""
+    import concurrent.futures, multiprocessing, signal
+
+    # A worker dies silently on Ctrl-C; the parent reports the interrupt.
+    others = set(multiprocessing.active_children())
+    pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
+        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_DFL)))
+    # Runs first on exit: an early exit drops the queued groups instead of
+    # waiting for them, and an exit by exception ends the running ones too.
+    def stop(error, *_):
+        for worker in set(multiprocessing.active_children()) - others if error else ():
+            worker.terminate()
+        pool.shutdown(cancel_futures=True)
+
+    stack.push(stop)
+    try:
+        slots = {}  # task index -> (its group's future, position in the group)
+        for group in groups:
+            future = pool.submit(_execute_group, [tasks[index] for index in group])
+            slots.update((index, (future, pos)) for pos, index in enumerate(group))
+        for _, (future, pos) in sorted(slots.items()):
+            yield future.result()[pos]
+    except concurrent.futures.BrokenExecutor as exc:  # a worker was killed or exited
+        raise WorkerDied from exc
+
+
 def run_verify(cfg: SweepConfig, out: IO[str] | None = None) -> int:
     out = out if out is not None else sys.stdout
     tasks = build_tasks(cfg)
@@ -182,25 +215,7 @@ def run_verify(cfg: SweepConfig, out: IO[str] | None = None) -> int:
         if len(groups) <= 1:
             results = map(execute_task, tasks)
         else:
-            import multiprocessing, signal  # the pool loads both; a sweep without one need not
-            # A worker dies silently on Ctrl-C; the parent reports the interrupt.
-            others = set(multiprocessing.active_children())
-            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
-                min(workers, len(groups)), initializer=signal.signal,
-                initargs=(signal.SIGINT, signal.SIG_DFL)))
-            # Runs first on exit: an early exit drops the queued groups instead of
-            # waiting for them, and an exit by exception ends the running ones too.
-            def stop(error, *_):
-                for worker in set(multiprocessing.active_children()) - others if error else ():
-                    worker.terminate()
-                pool.shutdown(cancel_futures=True)
-
-            stack.push(stop)
-            slots = {}  # task index -> (its group's future, position in the group)
-            for group in groups:
-                future = pool.submit(_execute_group, [tasks[index] for index in group])
-                slots.update((index, (future, pos)) for pos, index in enumerate(group))
-            results = (future.result()[pos] for _, (future, pos) in sorted(slots.items()))
+            results = _pool_results(stack, tasks, groups, min(workers, len(groups)))
         for task, report in zip(tasks, results):
             counts[_result(report)] += 1
             print(_format_line(task, report, cfg.format), file=out)
@@ -286,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"catb2: error: {exc}", file=sys.stderr)
         return 2
-    except concurrent.futures.BrokenExecutor:  # a worker was killed or exited
+    except WorkerDied:
         print("catb2: error: a worker process died; the report is incomplete", file=sys.stderr)
         return 3
     except KeyboardInterrupt:  # run_verify's ExitStack has cancelled the queued groups

@@ -16,11 +16,13 @@ everything else in this module is the expansion, recurrence, half-integer
 evaluation, and determinant machinery that the checks in `checks` verify.
 
 All functions are pure; the memo caches only short-circuit recomputation.
+They sit in the one registry of `catb2.rational` (`_CACHES`, filled by
+`_cached`, emptied by `clear_caches`), next to the memoized falling-factorial
+builders of `rational` and `poly`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -35,21 +37,15 @@ from .poly import (
     ff_unipoly,
     ff_unirat,
 )
-from .rational import beta_half, binomial, falling_factorial, falling_factorial_pair
-
-_CACHES: list = []
-
-
-def _cached(fn):
-    wrapped = functools.lru_cache(maxsize=None)(fn)
-    _CACHES.append(wrapped)
-    return wrapped
-
-
-def clear_caches() -> None:
-    """Drop all memoized values (used by mutation/soundness tests)."""
-    for fn in _CACHES:
-        fn.cache_clear()
+from .rational import (
+    _CACHES,
+    _cached,
+    beta_half,
+    binomial,
+    clear_caches,
+    falling_factorial,
+    falling_factorial_pair,
+)
 
 
 def _family_p(i: int, m: int) -> int:

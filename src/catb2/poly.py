@@ -5,7 +5,9 @@ coefficients; UniPoly is its univariate counterpart (the variable is
 positional, callers decide what it denotes); UniRatFunc is an unreduced
 quotient of two UniPoly with equality tested by cross-multiplication.  All
 values are immutable after construction and every operation returns a fresh
-value, so everything here is safe to share across threads and to memoize.
+value, so everything here is safe to share across threads and to memoize;
+`ff_unipoly` and `ff_poly` are memoized in the registry of `rational` and
+hand out one shared value per argument tuple.
 
 A UniPoly or BiPoly is stored as integer numerators over one positive
 denominator with the common factor removed (`num`, `den`; the
@@ -31,7 +33,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .rational import RatLike
+from .rational import RatLike, _cached
 
 Monomial = tuple[int, int]  # (x exponent, y exponent)
 
@@ -357,6 +359,7 @@ def split_cofactor(p: UniPoly, d: UniPoly) -> tuple[Fraction, UniPoly]:
     return lam, p - d * lam
 
 
+@_cached
 def ff_poly(var: str, shift: RatLike, k: int) -> BiPoly:
     """Falling-factorial polynomial prod_{j=0}^{k-1} (var + shift - j), k >= 0."""
     return ff_unipoly(shift, k).as_bipoly(var)
@@ -373,6 +376,7 @@ def ff_linear_poly(form: LinearForm, shift: RatLike, k: int) -> BiPoly:
     return out
 
 
+@_cached
 def ff_unipoly(shift: RatLike, k: int) -> UniPoly:
     """Univariate falling-factorial product prod_{j=0}^{k-1} (v + shift - j).
 

@@ -5,16 +5,36 @@ Everything here is arbitrary-precision and exact: rationals are
 convention (a)_k = a*(a-1)*...*(a-k+1) and is extended to negative k by
 (a)_{-n} = 1/(a+n)_n, the unique extension satisfying the shift law
 (a)_{j+k} = (a)_j * (a-j)_k.
+
+This bottom module also holds the one memo registry: `_cached` memoizes a
+pure builder without bound and registers it (here and in `poly`,
+`constructions` and `checks`), and `clear_caches` empties every memo.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 # str() of a Fraction is "num/den" with the denominator omitted when it is
 # 1, which is exactly the text form used by the serializer and the CLI.
 RatLike = Fraction | int
+
+_CACHES: list = []
+
+
+def _cached(fn):
+    """fn memoized without bound, in the registry `clear_caches` empties."""
+    wrapped = functools.lru_cache(maxsize=None)(fn)
+    _CACHES.append(wrapped)
+    return wrapped
+
+
+def clear_caches() -> None:
+    """Drop all memoized values (used by mutation/soundness tests)."""
+    for fn in _CACHES:
+        fn.cache_clear()
 
 
 def falling_factorial(alpha: RatLike, k: int) -> Fraction:
@@ -27,6 +47,7 @@ def falling_factorial(alpha: RatLike, k: int) -> Fraction:
     return Fraction(*falling_factorial_pair(alpha.numerator, alpha.denominator, k))
 
 
+@_cached
 def falling_factorial_pair(a: int, d: int, k: int) -> tuple[int, int]:
     """(a/d)_k, d > 0, as an unreduced integer pair (numerator, nonzero denominator)
     with the poles of `falling_factorial`; (a/d)_n = prod_{j<n} (a - j*d) / d^n."""

@@ -171,7 +171,7 @@ def test_pool_size_is_capped_by_cpus_and_tasks(monkeypatch, cpus, workers):
         def shutdown(self, wait=True, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     cfg = _cfg(checks=("degree",), jobs=5000)  # 4 tasks
     expected = [] if workers is None else [workers]  # 1 worker runs in-process
 
@@ -226,7 +226,7 @@ def test_one_cell_sweep_runs_in_process(monkeypatch):
 
     cfg = _cfg(checks=parse_checks("all"), i_range=(1, 1), m_range=(1, 1))
     sequential = _verify_lines(cfg)
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     assert _verify_lines(dataclasses.replace(cfg, jobs=2)) == sequential
 
@@ -302,6 +302,17 @@ def test_console_entry_point():
     assert proc.returncode == 0
     records = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [r["params"]["i"] for r in records] == [0, 1]
+
+
+def test_import_leaves_the_pool_modules_unloaded():
+    # Only a sweep with a process pool needs concurrent.futures.
+    probe = "import sys, catb2.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_console_usage_error_exit_code():

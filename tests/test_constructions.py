@@ -1,5 +1,6 @@
 """Family polynomials, expansion machinery, and determinant constants."""
 
+import io
 import math
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 import catb2.constructions as cons
 from catb2 import (
+    CHECK_NAMES,
     BiPoly,
     UniPoly,
     UniRatFunc,
@@ -38,7 +40,9 @@ from catb2 import (
     tail_combo,
     telescope_cleared_sides,
 )
+from catb2 import checks, cli, poly, rational
 from catb2.poly import first_remainder
+from catb2.rational import falling_factorial_pair
 from oracles import homogeneous_part
 
 X = BiPoly.var("x")
@@ -567,5 +571,101 @@ def test_a_perturbed_summand_moves_exactly_the_tails_that_contain_it(monkeypatch
             clear_caches()
             tails = [deformed_tail(i, m, l) for l in range(m + 2)]
             assert [t != p for t, p in zip(tails, plain)] == [l <= u for l in range(m + 2)], u
+    finally:
+        clear_caches()
+
+
+# ----------------------- the falling-factorial memos -----------------------
+
+FF_MEMOS = (falling_factorial_pair, ff_unipoly, ff_poly)
+
+
+def test_falling_factorial_memos_sit_in_the_one_registry():
+    assert cons._CACHES is rational._CACHES
+    assert all(memo in cons._CACHES for memo in FF_MEMOS)
+    clear_caches()
+    falling_factorial(_half(3), 4)
+    ff_poly("x", _half(1), 3)
+    assert all(memo.cache_info().currsize > 0 for memo in FF_MEMOS)
+    clear_caches()
+    assert all(memo.cache_info().currsize == 0 for memo in FF_MEMOS)
+
+
+@pytest.mark.parametrize("shift", [0, 3, -4, _half(2), _half(-4), Fraction(1, 3)])
+def test_ff_builder_memos_match_their_builders(shift):
+    clear_caches()
+    for k in range(6):
+        for _ in range(2):  # a miss, then a hit
+            assert ff_unipoly(shift, k) == ff_unipoly.__wrapped__(shift, k)
+            for var in ("x", "y"):
+                assert ff_poly(var, shift, k) == ff_poly.__wrapped__(var, shift, k)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            ff_unipoly(shift, -1)
+        with pytest.raises(ValueError):
+            ff_poly("y", shift, -1)
+
+
+def test_falling_factorial_pair_memo_matches_its_loop_and_keeps_raising_at_poles():
+    clear_caches()
+    poles = 0
+    for d in (1, 2, 3):
+        for a in range(-7, 8):
+            for k in range(-5, 6):
+                for _ in range(2):
+                    try:
+                        expected = falling_factorial_pair.__wrapped__(a, d, k)
+                    except ZeroDivisionError:
+                        with pytest.raises(ZeroDivisionError):
+                            falling_factorial_pair(a, d, k)
+                        poles += 1
+                    else:
+                        assert falling_factorial_pair(a, d, k) == expected
+    assert poles > 0
+    with pytest.raises(ZeroDivisionError):
+        falling_factorial(-2, -3)  # 1/((-2+3)(-2+2)(-2+1)) has the pole -2+2
+
+
+def test_equal_int_and_fraction_shifts_share_one_entry():
+    clear_caches()
+    assert ff_unipoly(3, 4) == ff_unipoly(Fraction(3), 4) == ff_unipoly(Fraction(6, 2), 4)
+    assert ff_unipoly.cache_info().currsize == 1
+    assert ff_poly("y", -2, 3) == ff_poly("y", Fraction(-2), 3) == ff_poly.__wrapped__("y", -2, 3)
+    assert ff_poly.cache_info().currsize == 1
+    assert falling_factorial(Fraction(5), 3) == falling_factorial(5, 3) == 60
+    assert falling_factorial_pair.cache_info().currsize == 1
+
+
+def test_every_memoized_value_survives_a_sweep_unchanged(monkeypatch):
+    # Every memo hands out one shared value per key, so a caller that changed
+    # a returned polynomial's `num` in place would corrupt later lookups.
+    # Record every value a default-grid sweep receives, then compare each
+    # with a recomputation on empty caches.
+    received = []
+    for memo in cons._CACHES:
+
+        def recorder(*args, memo=memo):
+            value = memo(*args)
+            received.append((memo, args, value))
+            return value
+
+        for module in (rational, poly, cons, checks, cli):
+            for name, value in list(vars(module).items()):
+                if value is memo:
+                    monkeypatch.setattr(module, name, recorder)
+    clear_caches()
+    cfg = cli.SweepConfig(
+        i_range=(0, 4), m_range=(0, 4), k_extra=2, checks=CHECK_NAMES, format="text", jobs=1
+    )
+    assert cli.run_verify(cfg, io.StringIO()) == 0
+    monkeypatch.undo()
+    assert {memo for memo, _, _ in received} == set(cons._CACHES)
+    clear_caches()
+    try:
+        fresh = {}
+        for memo, args, value in received:
+            if (memo, args) not in fresh:
+                fresh[memo, args] = memo(*args)
+            assert value == fresh[memo, args], (memo.__wrapped__.__name__, args)
     finally:
         clear_caches()

@@ -49,6 +49,21 @@ def test_workload_report_matches_the_recorded_digest(name):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == workload.digest
 
 
+# `catb2 verify --m 0..8 --format json`: larger m than any workload, so it
+# also covers the memo hit patterns that only the larger cells reach.
+M_0_8_JSON_DIGEST = "d5d60a7919759026058baad684bd625aea38efb8d832c46d8af4c411e3a3801e"
+
+
+def test_m_0_8_json_report_matches_the_recorded_digest():
+    cfg = cli.SweepConfig(
+        i_range=(0, 4), m_range=(0, 8), k_extra=2, checks=CHECK_NAMES, format="json", jobs=1
+    )
+    clear_caches()
+    out = io.StringIO()
+    assert cli.run_verify(cfg, out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == M_0_8_JSON_DIGEST
+
+
 # Each distinct perturbation of the mutation matrix once, then two more: one
 # in the leading x^(6m+3) y^(2m+1) coefficient of the defining polynomial
 # (saito), and one that fails only the y clause of parity.
