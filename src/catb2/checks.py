@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .constructions import (
-    _recurrence_quad,
     basis_derivation,
     defining_poly,
     deformed_poly,
@@ -26,6 +25,8 @@ from .constructions import (
     halfint_tail,
     integral_poly,
     poly_from_coeffs,
+    recurrence_combo,
+    recurrence_quad,
     saito_constant,
     saito_constant_integral,
     saito_determinant,
@@ -150,10 +151,7 @@ def check_prop1(i: int, m: int) -> CheckReport:
 
     (2i-1)/(2m+2) ft[i-1,m+1] = (x^2+y^2-(i+m+1)^2-i^2) ft[i,m] - 2 ft[i+1,m].
     """
-    lhs = deformed_poly(i - 1, m + 1) * Fraction(2 * i - 1, 2 * m + 2)
-    quad = _recurrence_quad((i + m + 1) ** 2 + i * i)
-    rhs = quad * deformed_poly(i, m) - deformed_poly(i + 1, m) * 2
-    return CheckReport(_witness(lhs - rhs))
+    return CheckReport(_witness(-recurrence_combo(deformed_poly, i, m, recurrence_quad(i, m))))
 
 
 def check_prop2(i: int, m: int, k: int) -> CheckReport:
@@ -200,12 +198,17 @@ def check_prop3(i: int, m: int) -> CheckReport:
     return CheckReport(data={"A": str(a_const), "B": str(b_const)})
 
 
+def _symmetrized(i: int, m: int) -> BiPoly:
+    """V[i,m] = ft[i,m](x,y) + ft[i,m](y,x)."""
+    f, g = basis_derivation(i, m)
+    return f + g
+
+
 @_cached
 def _symmetric_remainder(i: int, m: int) -> UniPoly | None:
-    """First nonzero remainder of ft[i,m](x,y) + ft[i,m](y,x) modulo x+y+m-j,
-    j = 0..2m; the theorem and the x+y clause of membership both need it."""
-    f = deformed_poly(i, m)
-    return first_remainder(f + f.swap(), XPY_FORM, m, 2 * m + 1)
+    """First nonzero remainder of V[i,m] modulo x+y+m-j, j = 0..2m; the
+    theorem and the x+y clause of membership both need it."""
+    return first_remainder(_symmetrized(i, m), XPY_FORM, m, 2 * m + 1)
 
 
 def check_theorem(i: int, m: int) -> CheckReport:
@@ -220,15 +223,8 @@ def check_v_recurrence(i: int, m: int) -> CheckReport:
     """
     if m < 1:
         raise ValueError("recurrence needs m >= 1")
-
-    def symmetrized(ii: int, mm: int) -> BiPoly:
-        f = deformed_poly(ii, mm)
-        return f + f.swap()
-
-    lhs = symmetrized(i, m) * Fraction(2 * i + 1, 2 * m)
-    quad = _recurrence_quad((i + m + 1) ** 2 + (i + 1) ** 2)
-    rhs = quad * symmetrized(i + 1, m - 1) - symmetrized(i + 2, m - 1) * 2
-    return CheckReport(_witness(lhs - rhs))
+    quad = recurrence_quad(i + 1, m - 1)
+    return CheckReport(_witness(-recurrence_combo(_symmetrized, i + 1, m - 1, quad)))
 
 
 def check_saito(m: int) -> CheckReport:
@@ -263,14 +259,12 @@ def check_membership(i: int, m: int) -> CheckReport:
     shares.  Every remainder is left in y.
     """
     f, g = basis_derivation(i, m)
-    for form, image in ((X_FORM, f), (XPY_FORM, None), (XMY_FORM, f - g)):
-        if form is XPY_FORM:
-            rem = _symmetric_remainder(i, m)
-        else:
-            rem = first_remainder(image, form, m, 2 * m + 1)
-        if rem is not None:
-            return CheckReport(rem.to_text("y"))
-    return CheckReport()
+    rem = (
+        first_remainder(f, X_FORM, m, 2 * m + 1)
+        or _symmetric_remainder(i, m)
+        or first_remainder(f - g, XMY_FORM, m, 2 * m + 1)
+    )
+    return CheckReport(_witness(rem, "y"))
 
 
 def check_parity(i: int, m: int) -> CheckReport:

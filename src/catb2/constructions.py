@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 from .poly import (
     BiPoly,
@@ -136,23 +137,34 @@ def deformed_tail(i: int, m: int, l: int) -> BiPoly:
     return deformed_term(i, m, l) + deformed_tail(i, m, l + 1)
 
 
-def _recurrence_quad(const: int) -> BiPoly:
-    return BiPoly({(2, 0): 1, (0, 2): 1, (0, 0): -const})
+def recurrence_quad(i: int, m: int) -> BiPoly:
+    """x^2 + y^2 - (i+m+1)^2 - i^2, the middle coefficient of the recurrence at (i, m)."""
+    return BiPoly({(2, 0): 1, (0, 2): 1, (0, 0): -((i + m + 1) ** 2 + i * i)})
 
 
-def tail_combo(i: int, m: int, l: int) -> BiPoly:
-    """Three-tail combination whose closed form `tail_closed` gives.
+def recurrence_combo(
+    value: Callable[[int, int], BiPoly | UniRatFunc], i: int, m: int, quad: BiPoly | UniPoly
+) -> BiPoly | UniRatFunc:
+    """The family's three-term recurrence applied to X[a,b] = value(a, b):
 
-    -2*S[i+1,m,l] + (x^2+y^2-(i+m+1)^2-i^2)*S[i,m,l]
-    - (2i-1)/(2m+2)*S[i-1,m+1,l+1], defined for i >= 1.
+    -2*X[i+1,m] + quad*X[i,m] - (2i-1)/(2m+2)*X[i-1,m+1], defined for i >= 1.
+
+    quad is `recurrence_quad(i, m)`, or that quadratic at a fixed x.  The
+    combination vanishes on ft (prop1) and on V = ft + ft.swap() (the
+    v-recurrence); `tail_closed` and `halfint_closed` give it on the tails.
     """
     if i < 1:
         raise ValueError("index i-1 undefined")
-    quad = _recurrence_quad((i + m + 1) ** 2 + i * i)
-    out = deformed_tail(i + 1, m, l) * -2
-    out = out + quad * deformed_tail(i, m, l)
-    out = out + deformed_tail(i - 1, m + 1, l + 1) * Fraction(-(2 * i - 1), 2 * m + 2)
-    return out
+    out = value(i + 1, m) * -2
+    out = out + value(i, m) * quad
+    return out + value(i - 1, m + 1) * Fraction(1 - 2 * i, 2 * m + 2)
+
+
+def tail_combo(i: int, m: int, l: int) -> BiPoly:
+    """`recurrence_combo` of the expansion tails S[a,b,l+b-m] = deformed_tail;
+    `tail_closed` gives its closed form."""
+    quad = recurrence_quad(i, m)
+    return recurrence_combo(lambda a, b: deformed_tail(a, b, l + b - m), i, m, quad)
 
 
 def tail_closed(i: int, m: int, l: int) -> BiPoly:
@@ -245,18 +257,10 @@ def halfint_tail(i: int, m: int, k: int, l: int) -> UniRatFunc:
 
 
 def halfint_combo(i: int, m: int, k: int, l: int) -> UniRatFunc:
-    """Three-tail combination of half-integer partial sums, for i >= 1.
-
-    -2*U[i+1,m,k,l] + ((k+1/2)^2 + y^2 - (i+m+1)^2 - i^2)*U[i,m,k,l]
-    - (2i-1)/(2m+2)*U[i-1,m+1,k,l].
-    """
-    if i < 1:
-        raise ValueError("index i-1 undefined")
+    """`recurrence_combo` of the half-integer tails U[a,b,k,l] = halfint_tail,
+    with the quad at x = -1/2-k: (k+1/2)^2 + y^2 - (i+m+1)^2 - i^2."""
     quad = UniPoly({2: 1, 0: Fraction((2 * k + 1) ** 2 - 4 * ((i + m + 1) ** 2 + i * i), 4)})
-    out = halfint_tail(i + 1, m, k, l) * -2
-    out = out + halfint_tail(i, m, k, l) * quad
-    out = out + halfint_tail(i - 1, m + 1, k, l) * Fraction(-(2 * i - 1), 2 * m + 2)
-    return out
+    return recurrence_combo(lambda a, b: halfint_tail(a, b, k, l), i, m, quad)
 
 
 def halfint_closed(i: int, m: int, k: int, l: int) -> UniRatFunc:

@@ -276,3 +276,66 @@ def test_mutation_matrix_flips_every_check(name):
         report = cli.execute_task(("run", name, params))
     assert isinstance(report, CheckReport) and not report.passed
     assert parse(report.witness.replace("z", "x"))  # lemma2 reports in z
+
+
+def _drop_third_term(combo, value, i, m, quad):
+    return combo + value(i - 1, m + 1) * Fraction(2 * i - 1, 2 * m + 2)
+
+
+def _zero(combo, *args):
+    return combo * 0
+
+
+# prop1, v-recurrence, lemma1 and lemma3 all go through recurrence_combo, so
+# a fault there could cancel between the two sides of the recurrence checks:
+# returning zero passes prop1 and v-recurrence, and only the closed forms of
+# lemma1 and lemma3 catch it.
+@pytest.mark.parametrize(
+    "perturb, names",
+    [
+        (_drop_third_term, ("prop1", "v-recurrence", "lemma1", "lemma3")),
+        (_zero, ("lemma1", "lemma3")),
+    ],
+    ids=["drop-third-term", "zero"],
+)
+def test_mutated_recurrence_combo_fails_the_checks_that_share_it(perturb, names):
+    for name in names:
+        with mutated("recurrence_combo", None, perturb):
+            report = cli.execute_task(("run", name, MUTATIONS[name][-1]))
+        assert isinstance(report, CheckReport) and not report.passed, name
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cons.recurrence_combo(cons.deformed_poly, 0, 1, cons.recurrence_quad(0, 1)),
+        lambda: cons.tail_combo(0, 1, 0),
+        lambda: cons.halfint_combo(0, 1, 1, 0),
+        lambda: ck.check_prop1(0, 2),
+        lambda: ck.check_v_recurrence(1, 0),
+    ],
+    ids=["recurrence_combo", "tail_combo", "halfint_combo", "prop1", "v-recurrence"],
+)
+def test_recurrence_users_reject_indices_below_their_domain(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_halfint_quad_is_the_recurrence_quad_at_the_half_integer(monkeypatch):
+    # halfint_combo writes its quad out as a UniPoly rather than substituting
+    # into recurrence_quad, the one other place the coefficient is spelled
+    quads = []
+    original = cons.recurrence_combo
+
+    def spy(value, i, m, quad):
+        quads.append(quad)
+        return original(value, i, m, quad)
+
+    monkeypatch.setattr(cons, "recurrence_combo", spy)
+    for i in (1, 2, 3):
+        for m in range(3):
+            for k in range(4):
+                quads.clear()
+                cons.halfint_combo(i, m, k, k + 1)
+                x = Fraction(-(2 * k + 1), 2)
+                assert quads == [cons.recurrence_quad(i, m).subst_value("x", x)], (i, m, k)

@@ -2,11 +2,14 @@
 
 The tracer looks each target up as `vars(holder)[attr]` and replaces that
 object wherever it appears, so a traced method must be defined in its own
-class (not inherited) and must not be shared with another class.
+class (not inherited) and must not be shared with another class.  A traced
+`tiny` sweep must call every wrapper and print the untraced report.
 """
 
 import importlib.util
 from pathlib import Path
+
+from test_report_digests import RUN
 
 import catb2
 import catb2.cli
@@ -63,3 +66,21 @@ def test_every_memo_exposes_what_the_benchmark_reads():
     memos = [fn.__wrapped__.__name__ for fn in catb2.constructions._CACHES]
     assert len(set(memos)) == len(memos)  # the benchmark keys them by name
     assert "_halfint_y_factor" in memos
+
+
+def test_tiny_grid_calls_every_span_and_traces_the_same_stream():
+    # perfbench's own test of this is outside tier-1; without this one, a src
+    # change that stops calling a traced name passes tier-1 and breaks it.
+    catb2 = RUN._import_catb2()
+    tiny = RUN.WORKLOADS["tiny"]
+    plain = RUN._sweep_in_process(catb2, tiny, 0)[:2]
+    tracer = RUN.tracing.Tracer(catb2)
+    tracer.install()
+    try:
+        traced = RUN._sweep_in_process(catb2, tiny, 0)[:2]
+    finally:
+        tracer.uninstall()
+    assert traced == plain == (plain[0], 0)
+    calls = {name: span["calls"] for name, span in tracer.summary().items()}
+    assert list(calls) == RUN.tracing.span_names()
+    assert [name for name, n in calls.items() if n == 0] == []
