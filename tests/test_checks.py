@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import subst_affine
 from textform import parse
 
 from catb2 import CHECK_NAMES, X_FORM, XPY_FORM, BiPoly, CheckReport, clear_caches
@@ -107,7 +108,7 @@ def test_theorem_hand_case():
     # ft[1,0](x,y) + ft[1,0](y,x) = (x^3-x)/3 + (y^3-y)/3 vanishes at y = -x
     f = cons.deformed_poly(1, 0)
     v = f + f.swap()
-    assert not v.subst_affine("y", -1, "x")
+    assert not subst_affine(v, "y", -1, "x")
 
 
 def test_v_recurrence_pass_and_domain():

@@ -45,7 +45,8 @@ from catb2.poly import first_remainder
 from catb2.rational import falling_factorial_pair
 from oracles import homogeneous_part
 
-X = BiPoly.var("x")
+X = BiPoly.monomial(1, 1, 0)
+Y = BiPoly.monomial(1, 0, 1)
 
 
 def _half(n: int) -> Fraction:
@@ -74,7 +75,7 @@ def test_coeff_rejects_k_outside_range():
 def test_integral_poly_base_cases():
     assert integral_poly(0, 0) == X
     assert integral_poly(1, 0) == X**3 * Fraction(1, 3)
-    expected = X**5 * Fraction(-2, 15) + X**3 * BiPoly.var("y") ** 2 * Fraction(2, 3)
+    expected = X**5 * Fraction(-2, 15) + X**3 * Y**2 * Fraction(2, 3)
     assert integral_poly(0, 1) == expected
 
 
@@ -376,7 +377,7 @@ def test_basis_derivation_components():
 
 
 def test_basis_derivation_euler_case():
-    assert basis_derivation(0, 0) == (X, BiPoly.var("y"))
+    assert basis_derivation(0, 0) == (X, Y)
 
 
 # ------------------- point evaluation of the definitions -------------------

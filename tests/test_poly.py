@@ -22,10 +22,10 @@ from catb2 import (
     ff_unirat,
 )
 from catb2.poly import _UNIT, _subst_roots, first_remainder, split_cofactor
-from oracles import divrem_linear
+from oracles import divrem_linear, subst_affine
 
-X = BiPoly.var("x")
-Y = BiPoly.var("y")
+X = BiPoly.monomial(1, 1, 0)
+Y = BiPoly.monomial(1, 0, 1)
 
 coefs = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 monomials = st.tuples(st.integers(0, 5), st.integers(0, 5))
@@ -81,17 +81,28 @@ def test_swap():
 
 
 def test_subst_affine_collapse():
-    assert not (X + Y).subst_affine("y", -1, "x")
+    assert not subst_affine(X + Y, "y", -1, "x")
 
 
 def test_subst_affine_shifted():
-    got = (X * X - Y * Y).subst_affine("y", -1, "x", -1)
+    got = subst_affine(X * X - Y * Y, "y", -1, "x", -1)
     assert got == X * (-2) - BiPoly.const(1)
 
 
 def test_subst_same_variable_negation():
     f = X**3 - X
-    assert f.subst_affine("x", -1, "x") == -f
+    assert f.subst_affine("x") == -f
+
+
+@given(bipolys, st.sampled_from(["x", "y"]))
+@settings(max_examples=60, deadline=None)
+def test_sign_flip_matches_the_power_rebuilding_substitution(p, var):
+    assert p.subst_affine(var) == subst_affine(p, var, -1, var)
+
+
+def test_sign_flip_rejects_an_unknown_variable():
+    with pytest.raises(ValueError):
+        (X + Y).subst_affine("z")
 
 
 def test_subst_value():
@@ -137,7 +148,7 @@ def test_divisibility_of_constructed_multiples(p, form, shift, k):
 @settings(max_examples=60, deadline=None)
 def test_substitution_is_a_homomorphism(p, q):
     def image(f):
-        return f.subst_affine("y", -1, "x", Fraction(-2))
+        return subst_affine(f, "y", -1, "x", Fraction(-2))
 
     assert image(p * q) == image(p) * image(q)
     assert image(p + q) == image(p) + image(q)
@@ -250,7 +261,7 @@ def test_reduce_mod_matches_independent_routes(p, ab, c):
     assert _is_clean(rem)
     assert rem == divrem_linear(p, form)[1]  # long division
     if b:  # x = -a*b*y - a*c through the power-rebuilding substitution
-        assert rem.as_bipoly("y") == p.subst_affine("x", -a * b, "y", -a * c)
+        assert rem.as_bipoly("y") == subst_affine(p, "x", -a * b, "y", -a * c)
 
 
 @given(
@@ -439,6 +450,7 @@ def test_substitutions_stay_canonical(p, ab, c, var, value):
         e, keep = (xe, ye) if var == "x" else (ye, xe)
         naive[keep] = naive.get(keep, Fraction(0)) + v * value**e
     _checked(p.subst_value(var, value), {k: v for k, v in naive.items() if v})
+    _checked(p.subst_affine(var), subst_affine(p, var, -1, var).terms)
 
 
 CONSTANT_SUBST_POLYS = {
