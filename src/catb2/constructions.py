@@ -38,15 +38,10 @@ from .poly import (
     ff_unipoly,
     ff_unirat,
 )
-from .rational import (
-    _CACHES,
-    _cached,
-    beta_half,
-    binomial,
-    clear_caches,
-    falling_factorial,
-    falling_factorial_pair,
-)
+from .rational import _cached, beta_half, binomial, falling_factorial, falling_factorial_pair
+
+# Kept only for perfbench/run.py, which reads catb2.constructions._CACHES and .clear_caches.
+from .rational import _CACHES, clear_caches  # noqa: F401
 
 
 def _family_p(i: int, m: int) -> int:

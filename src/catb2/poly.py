@@ -248,32 +248,31 @@ class BiPoly(_IntPoly):
 
 
 class LinearForm:
-    """Hyperplane-style linear form a*x + b*y + c with a in {-1, 1}, b in {-1, 0, 1}."""
+    """Hyperplane-style linear form x + b*y + c with b in {-1, 0, 1}."""
 
-    __slots__ = ("a", "b", "c")
+    __slots__ = ("b", "c")
 
-    def __init__(self, a: int, b: int, c: RatLike = 0):
-        if a not in (-1, 1) or b not in (-1, 0, 1):
-            raise ValueError("linear form needs a unit x coefficient and b in {-1, 0, 1}")
-        self.a = a
+    def __init__(self, b: int, c: RatLike = 0):
+        if b not in (-1, 0, 1):
+            raise ValueError("linear form needs b in {-1, 0, 1}")
         self.b = b
         self.c = _as_rat(c)
 
     def shifted(self, d: RatLike) -> LinearForm:
-        return LinearForm(self.a, self.b, self.c + _as_rat(d))
+        return LinearForm(self.b, self.c + _as_rat(d))
 
     def as_poly(self) -> BiPoly:
-        return BiPoly({(1, 0): self.a, (0, 1): self.b, (0, 0): self.c})
+        return BiPoly({(1, 0): 1, (0, 1): self.b, (0, 0): self.c})
 
     def reduce_mod(self, p: BiPoly) -> UniPoly:
         """Remainder of p modulo this form, univariate in y.
 
-        a*x + b*y + c = 0 gives x = -a*b*y - a*c (a is a unit); substitute it.
+        x + b*y + c = 0 gives x = -b*y - c; substitute it.
         """
-        return next(_subst_roots(p, "x", -self.a * self.b, [-self.a * self.c]))
+        return next(_subst_roots(p, "x", -self.b, [-self.c]))
 
     def __repr__(self) -> str:
-        return f"LinearForm({self.a}, {self.b}, {self.c!r})"
+        return f"LinearForm({self.b}, {self.c!r})"
 
 
 def _subst_roots(p: BiPoly, var: str, slope: int, values: list[Fraction]) -> Iterator[UniPoly]:
@@ -321,15 +320,15 @@ def _times_linear(acc: list[int], lead: int, const: int) -> list[int]:
     return [const * n + lead * prev for n, prev in zip(acc + [0], [0] + acc)]
 
 
-X_FORM = LinearForm(1, 0)
-XPY_FORM = LinearForm(1, 1)
-XMY_FORM = LinearForm(1, -1)
+X_FORM = LinearForm(0)
+XPY_FORM = LinearForm(1)
+XMY_FORM = LinearForm(-1)
 
 
 def first_remainder(p: BiPoly, form: LinearForm, shift: RatLike, count: int) -> UniPoly | None:
     """First nonzero remainder of p modulo form+shift-j, j = 0..count-1."""
-    roots = [-form.a * (form.c + shift - j) for j in range(count)]
-    return next(filter(None, _subst_roots(p, "x", -form.a * form.b, roots)), None)
+    roots = [-(form.c + shift - j) for j in range(count)]
+    return next(filter(None, _subst_roots(p, "x", -form.b, roots)), None)
 
 
 def split_cofactor(p: UniPoly, d: UniPoly) -> tuple[Fraction, UniPoly]:

@@ -7,7 +7,7 @@ the integer kernels of `catb2.poly` but the constructors.
 import math
 from fractions import Fraction
 
-from catb2 import BiPoly, LinearForm, UniPoly
+from catb2.poly import BiPoly, LinearForm, UniPoly
 
 
 def divrem_linear(p: BiPoly, form: LinearForm) -> tuple[BiPoly, UniPoly]:
@@ -21,14 +21,13 @@ def divrem_linear(p: BiPoly, form: LinearForm) -> tuple[BiPoly, UniPoly]:
         rows.setdefault(xe, {})[ye] = c
     q_terms: dict[tuple[int, int], Fraction] = {}
     # Peel off the top x row one step at a time:
-    # subtracting (c/a)*x^(e-1)*y^k*form cancels c*x^e*y^k.
+    # subtracting c*x^(e-1)*y^k*form cancels c*x^e*y^k.
     for e in range(max(rows, default=0), 0, -1):
         lower = rows.setdefault(e - 1, {})
         for k, c in rows.pop(e, {}).items():
-            qc = c / form.a
-            q_terms[(e - 1, k)] = qc
+            q_terms[(e - 1, k)] = c
             for ke, rc in ((k + 1, form.b), (k, form.c)):
-                lower[ke] = lower.get(ke, 0) - qc * rc
+                lower[ke] = lower.get(ke, 0) - c * rc
     return BiPoly(q_terms), UniPoly(rows.get(0, {}))
 
 

@@ -15,9 +15,9 @@ import pytest
 from test_checks import mutated
 from textform import parse
 
-from catb2 import BiPoly
 from catb2 import checks as ck
 from catb2 import constructions as cons
+from catb2.poly import BiPoly
 
 GRID4 = [(i, m) for i in range(5) for m in range(5)]
 

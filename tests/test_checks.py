@@ -8,11 +8,12 @@ import pytest
 from oracles import subst_affine
 from textform import parse
 
-from catb2 import CHECK_NAMES, X_FORM, XPY_FORM, BiPoly, CheckReport, clear_caches
 from catb2 import checks as ck
 from catb2 import cli
 from catb2 import constructions as cons
-from catb2.poly import first_remainder
+from catb2.checks import CHECK_NAMES, CheckReport
+from catb2.poly import X_FORM, XPY_FORM, BiPoly, first_remainder
+from catb2.rational import clear_caches
 
 
 @pytest.fixture

@@ -8,25 +8,14 @@ from fractions import Fraction
 import pytest
 
 import catb2.constructions as cons
-from catb2 import (
-    CHECK_NAMES,
-    BiPoly,
-    UniPoly,
-    UniRatFunc,
-    XMY_FORM,
-    XPY_FORM,
-    X_FORM,
+from catb2 import checks, cli, poly, rational
+from catb2.checks import CHECK_NAMES
+from catb2.constructions import (
     basis_derivation,
-    beta_half,
-    clear_caches,
     defining_poly,
     deformed_poly,
     deformed_tail,
     deformed_term,
-    falling_factorial,
-    ff_poly,
-    ff_unipoly,
-    ff_unirat,
     halfint_closed,
     halfint_tail,
     halfint_term,
@@ -40,9 +29,19 @@ from catb2 import (
     tail_combo,
     telescope_cleared_sides,
 )
-from catb2 import checks, cli, poly, rational
-from catb2.poly import first_remainder
-from catb2.rational import falling_factorial_pair
+from catb2.poly import (
+    X_FORM,
+    XMY_FORM,
+    XPY_FORM,
+    BiPoly,
+    UniPoly,
+    UniRatFunc,
+    ff_poly,
+    ff_unipoly,
+    ff_unirat,
+    first_remainder,
+)
+from catb2.rational import beta_half, clear_caches, falling_factorial, falling_factorial_pair
 from oracles import homogeneous_part
 
 X = BiPoly.monomial(1, 1, 0)
@@ -583,7 +582,7 @@ FF_MEMOS = (falling_factorial_pair, ff_unipoly, ff_poly)
 
 def test_falling_factorial_memos_sit_in_the_one_registry():
     assert cons._CACHES is rational._CACHES
-    assert all(memo in cons._CACHES for memo in FF_MEMOS)
+    assert all(memo in rational._CACHES for memo in FF_MEMOS)
     clear_caches()
     falling_factorial(_half(3), 4)
     ff_poly("x", _half(1), 3)
@@ -643,7 +642,7 @@ def test_every_memoized_value_survives_a_sweep_unchanged(monkeypatch):
     # Record every value a default-grid sweep receives, then compare each
     # with a recomputation on empty caches.
     received = []
-    for memo in cons._CACHES:
+    for memo in rational._CACHES:
 
         def recorder(*args, memo=memo):
             value = memo(*args)
@@ -660,7 +659,7 @@ def test_every_memoized_value_survives_a_sweep_unchanged(monkeypatch):
     )
     assert cli.run_verify(cfg, io.StringIO()) == 0
     monkeypatch.undo()
-    assert {memo for memo, _, _ in received} == set(cons._CACHES)
+    assert {memo for memo, _, _ in received} == set(rational._CACHES)
     clear_caches()
     try:
         fresh = {}

@@ -7,16 +7,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from catb2 import (
-    beta_half,
-    binomial,
-    deformed_poly,
-    falling_factorial,
-    integral_poly,
-    integral_poly_coeff,
-    poly_from_coeffs,
-)
-from catb2.rational import falling_factorial_pair
+from catb2.constructions import deformed_poly, integral_poly, integral_poly_coeff, poly_from_coeffs
+from catb2.rational import beta_half, binomial, falling_factorial, falling_factorial_pair
 
 rats = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 

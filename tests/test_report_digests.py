@@ -18,8 +18,10 @@ import pytest
 
 from test_checks import MUTATIONS, mutated
 
-from catb2 import CHECK_NAMES, BiPoly, cli
-from catb2.constructions import clear_caches
+from catb2 import cli
+from catb2.checks import CHECK_NAMES
+from catb2.poly import BiPoly
+from catb2.rational import clear_caches
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

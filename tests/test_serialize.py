@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from textform import parse
 
-from catb2 import BiPoly, ff_poly
+from catb2.poly import BiPoly, ff_poly
 
 coefs = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
 monomials = st.tuples(st.integers(0, 9), st.integers(0, 9))

@@ -3,7 +3,7 @@
 
 from fractions import Fraction
 
-from catb2 import BiPoly
+from catb2.poly import BiPoly
 
 
 def parse(text: str) -> BiPoly:
