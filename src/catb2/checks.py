@@ -20,6 +20,7 @@ from .constructions import (
     defining_poly,
     deformed_poly,
     deformed_tail,
+    even_moment,
     halfint_closed,
     halfint_combo,
     halfint_tail,
@@ -169,7 +170,9 @@ def check_prop3(i: int, m: int) -> CheckReport:
     mod x+y-m:  2*ft =  B (x+m+i)_(3m+2i+1) (x-1/2)_m
                      = -B (y+m+i)_(3m+2i+1) (y-1/2)_m
     with A, B depending only on (i, m); they are extracted, then the three
-    companion congruences are verified against them.
+    companion congruences are verified against them.  Last, A = B =
+    2*f[i,m](1, -1) = 2 integral_0^1 t^(2i) (1-t^2)^(2m) dt: the top-degree
+    part of ft[i,m] is f[i,m], and each target is monic.
     """
     doubled = deformed_poly(i, m) * 2
     swapped = doubled.swap()
@@ -195,7 +198,9 @@ def check_prop3(i: int, m: int) -> CheckReport:
         extracted.append(lam)
 
     a_const, b_const = extracted
-    return CheckReport(data={"A": str(a_const), "B": str(b_const)})
+    expected = 2 * even_moment(i, 2 * m)
+    off = next(filter(None, (lam - expected for lam in extracted)), 0)
+    return CheckReport(_witness(BiPoly.const(off)), data={"A": str(a_const), "B": str(b_const)})
 
 
 def _symmetrized(i: int, m: int) -> BiPoly:

@@ -7,8 +7,10 @@ configuration (never on timing or the worker count).  The tasks come from
 one (m, i) cell when there are fewer m values than workers) to at most
 min(N, CPUs, groups) processes, largest m first, where CPUs counts only
 those the process may run on; the first line appears once the
-smallest-m group is done.  `catb2 basis` prints the two basis
-polynomials for one m together with the extracted constants.
+smallest-m group is done.  Each worker is pinned to its own CPU of the
+affinity mask, so that two of them never share one; on a platform without
+an affinity call the workers are not pinned.  `catb2 basis` prints the two
+basis polynomials for one m together with the extracted constants.
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 usage error,
 3 the harness broke: a check raised (a RESULT=ERROR line; the sweep goes on),
@@ -174,17 +176,44 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _cpu_handout(workers: int) -> list[int | None]:
+    """The CPU each of `workers` pool workers is pinned to: a different one of
+    the affinity mask each while they last (round robin beyond), or None for
+    every worker on a platform without an affinity call."""
+    if not hasattr(os, "sched_getaffinity"):
+        return [None] * workers
+    mask = sorted(os.sched_getaffinity(0))
+    return [mask[j % len(mask)] for j in range(workers)]
+
+
+def _start_worker(cpus) -> None:
+    """Pool initializer: the worker dies silently on Ctrl-C (the parent
+    reports the interrupt) and runs on the CPU it takes from `cpus`.  A CPU
+    it may not pin to leaves it unpinned rather than breaking the pool."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    cpu = cpus.get()
+    if cpu is not None:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, {cpu})
+
+
 def _pool_results(stack: contextlib.ExitStack, tasks: list[Task], groups: list[list[int]],
                   workers: int) -> Iterator[CheckReport | CellError | None]:
     """The report of each task in order, from a pool of `workers` processes
     that runs one group per submission and that `stack` shuts down.  Only this
     path loads the pool's modules; a dead worker raises WorkerDied."""
-    import concurrent.futures, multiprocessing, signal
+    import concurrent.futures, multiprocessing
 
-    # A worker dies silently on Ctrl-C; the parent reports the interrupt.
     others = set(multiprocessing.active_children())
+    # One CPU per worker; every worker takes one as it starts, so none waits.
+    cpus = multiprocessing.SimpleQueue()
+    stack.callback(cpus.close)
+    for cpu in _cpu_handout(workers):
+        cpus.put(cpu)
     pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
-        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_DFL)))
+        workers, initializer=_start_worker, initargs=(cpus,)))
     # Runs first on exit: an early exit drops the queued groups instead of
     # waiting for them, and an exit by exception ends the running ones too.
     def stop(error, *_):

@@ -316,22 +316,20 @@ def saito_constant(m: int) -> Fraction:
     return -integral_poly_coeff(0, m, m) * integral_poly_coeff(1, m, 0)
 
 
+def even_moment(a: int, n: int) -> Fraction:
+    """integral_0^1 t^(2a) (1-t^2)^n dt for a, n >= 0, expanded binomially
+    and integrated term by term: sum_j (-1)^j C(n, j) / (2a+2j+1)."""
+    return sum(Fraction((-1) ** j * binomial(n, j), 2 * a + 2 * j + 1) for j in range(n + 1))
+
+
 def saito_constant_integral(m: int) -> Fraction:
     """C evaluated through the two one-variable integrals:
 
-    C = -(-1)^m integral_0^1 (s^2-1)^m ds * integral_0^1 s^(2m+2)(s^2-1)^m ds,
-    both integrals expanded binomially and integrated term by term.
+    C = -(-1)^m integral_0^1 (1-s^2)^m ds * integral_0^1 s^(2m+2)(1-s^2)^m ds.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    first = Fraction(0)
-    second = Fraction(0)
-    for j in range(m + 1):
-        sign = -1 if (m - j) % 2 else 1
-        first += Fraction(sign * binomial(m, j), 2 * j + 1)
-        second += Fraction(sign * binomial(m, j), 2 * j + 2 * m + 3)
-    sign = -1 if m % 2 else 1
-    return -sign * first * second
+    return -(-1) ** m * even_moment(0, m) * even_moment(m + 1, m)
 
 
 def basis_derivation(i: int, m: int) -> tuple[BiPoly, BiPoly]:

@@ -1,6 +1,7 @@
 """Check layer: verdict structure, small grids, and mutation soundness."""
 
 import contextlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from textform import parse
 from catb2 import checks as ck
 from catb2 import cli
 from catb2 import constructions as cons
+from catb2 import poly
 from catb2.checks import CHECK_NAMES, CheckReport
 from catb2.poly import X_FORM, XPY_FORM, BiPoly, first_remainder
 from catb2.rational import clear_caches
@@ -97,6 +99,30 @@ def test_prop3_pass():
             rep = ck.check_prop3(i, m)
             assert rep.passed
             assert set(rep.data) == {"A", "B"}
+
+
+def test_prop3_fails_on_scaled_remainders(monkeypatch):
+    """Every slope +-1 remainder tripled: both sides of each congruence scale
+    alike, so only the closed form of A and B can catch it."""
+    original = poly._subst_roots
+
+    def tripled(p, var, slope, values):
+        for remainder in original(p, var, slope, values):
+            yield remainder * 3 if slope in (1, -1) else remainder
+
+    cfg = cli.SweepConfig(
+        i_range=(0, 4), m_range=(0, 8), k_extra=2, checks=CHECK_NAMES, format="text", jobs=1
+    )
+    out = io.StringIO()
+    clear_caches()
+    monkeypatch.setattr(poly, "_subst_roots", tripled)
+    try:
+        code = cli.run_verify(cfg, out)
+    finally:
+        clear_caches()
+    prop3 = [line for line in out.getvalue().splitlines() if line.startswith("CHECK=prop3 ")]
+    assert code == 1
+    assert len(prop3) == 45 and all("RESULT=FAIL WITNESS=" in line for line in prop3)
 
 
 def test_theorem_small_cases():

@@ -231,6 +231,96 @@ def test_one_cell_sweep_runs_in_process(monkeypatch):
     assert _verify_lines(dataclasses.replace(cfg, jobs=2)) == sequential
 
 
+@pytest.mark.parametrize(
+    "mask, workers, expected",
+    [({3}, 2, [3, 3]), ({5, 1}, 2, [1, 5]), (set(range(64)), 4, [0, 1, 2, 3]), (None, 2, [None, None])],
+    ids=["1-cpu", "2-cpus", "64-cpus", "no-affinity-call"],
+)
+def test_cpu_handout(monkeypatch, mask, workers, expected):
+    """A different CPU of the mask for each worker while they last, shared
+    round robin beyond (a pool forced onto one CPU), and None without an
+    affinity call."""
+    if mask is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: mask, raising=False)
+    assert cli._cpu_handout(workers) == expected
+
+
+def _report_placement(i, m):
+    """A degree check that reports the worker's affinity mask and pid."""
+    return checks.CheckReport(data={"cpus": sorted(os.sched_getaffinity(0)), "pid": os.getpid()})
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+    or multiprocessing.get_start_method() != "fork",
+    reason="needs two CPUs in the mask; the workers see the patched check only when forked",
+)
+def test_pool_workers_run_on_different_cpus(monkeypatch):
+    monkeypatch.setattr(checks, "check_degree", _report_placement)
+    cfg = _cfg(checks=("degree",), i_range=(0, 1), m_range=(0, 3), format="json", jobs=2)
+    code, lines = _verify_lines(cfg)
+    assert code == 0
+    mask = os.sched_getaffinity(0)
+    placed = {}
+    for record in map(json.loads, lines):
+        (cpu,) = record["cpus"]
+        assert cpu in mask
+        assert placed.setdefault(record["pid"], cpu) == cpu
+    assert os.getpid() not in placed
+    assert len(set(placed.values())) == len(placed)
+
+
+# A --jobs 2 sweep forced onto one CPU: both workers must get it.
+_ONE_CPU_SWEEP = """
+import os, sys
+from catb2 import cli
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+cli._usable_cpus = lambda: 2
+sys.exit(cli.main(["verify", "--i", "0..1", "--m", "0..3", "--checks", "parity,degree", "--jobs", "2"]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs an affinity call")
+def test_two_workers_on_one_cpu_finish():
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_CPU_SWEEP], capture_output=True, text=True, timeout=120
+    )
+    cfg = _cfg(checks=("parity", "degree"), i_range=(0, 1), m_range=(0, 3))
+    assert (proc.returncode, proc.stdout.splitlines()) == _verify_lines(cfg)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see the patched affinity call only when forked",
+)
+def test_refused_pinning_leaves_the_pool_working(monkeypatch):
+    def refuse(pid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    cfg = _cfg(checks=("parity", "degree"), i_range=(0, 1), m_range=(0, 3))
+    sequential = _verify_lines(cfg)
+    monkeypatch.setattr(cli.os, "sched_setaffinity", refuse, raising=False)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert _verify_lines(dataclasses.replace(cfg, jobs=2)) == sequential
+
+
+def test_cold_pool_sweep_leaves_stderr_clean():
+    """A cold `catb2 verify --jobs 2` (with a pool even on one CPU) prints
+    the summary alone: no traceback from a worker's start and no warning of a
+    leaked semaphore from the resource tracker at exit."""
+    script = "import sys; from catb2 import cli; cli._usable_cpus = lambda: 2; sys.exit(cli.main())"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "verify", "--jobs", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == "catb2: 870 passed, 0 failed, 20 skipped\n"
+
+
 def test_exit_one_on_failure():
     *mutation, _ = MUTATIONS["expansion"]
     with mutated(*mutation):

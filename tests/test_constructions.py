@@ -16,6 +16,7 @@ from catb2.constructions import (
     deformed_poly,
     deformed_tail,
     deformed_term,
+    even_moment,
     halfint_closed,
     halfint_tail,
     halfint_term,
@@ -347,6 +348,14 @@ def test_defining_poly_central_factors():
         for form in (X_FORM, XPY_FORM, XMY_FORM):
             assert first_remainder(phi, form, 0, 1) is None, (m, form)
         assert not phi.subst_value("y", 0), m
+
+
+def test_even_moment_is_half_the_beta_integral():
+    # integral_0^1 t^(2a) (1-t^2)^n dt = B(a+1/2, n+1) / 2, through the falling factorial
+    assert even_moment(0, 0) == 1 and even_moment(1, 0) == Fraction(1, 3)
+    for a in range(5):
+        for n in range(9):
+            assert 2 * even_moment(a, n) == beta_half(0, a, n), (a, n)
 
 
 def test_saito_constants():
