@@ -247,18 +247,16 @@ def test_cpu_handout(monkeypatch, mask, workers, expected):
     assert cli._cpu_handout(workers) == expected
 
 
-def _report_placement(i, m):
-    """A degree check that reports the worker's affinity mask and pid."""
-    return checks.CheckReport(data={"cpus": sorted(os.sched_getaffinity(0)), "pid": os.getpid()})
-
-
 @pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
     or multiprocessing.get_start_method() != "fork",
     reason="needs two CPUs in the mask; the workers see the patched check only when forked",
 )
 def test_pool_workers_run_on_different_cpus(monkeypatch):
-    monkeypatch.setattr(checks, "check_degree", _report_placement)
+    def report_placement(i, m):
+        return checks.CheckReport(data={"cpus": sorted(os.sched_getaffinity(0)), "pid": os.getpid()})
+
+    monkeypatch.setattr(checks, "check_degree", report_placement)
     cfg = _cfg(checks=("degree",), i_range=(0, 1), m_range=(0, 3), format="json", jobs=2)
     code, lines = _verify_lines(cfg)
     assert code == 0
