@@ -44,7 +44,6 @@ from .poly import (
     X_FORM,
     ff_unipoly,
     first_remainder,
-    split_cofactor,
 )
 from .rational import _cached
 
@@ -105,7 +104,7 @@ CHECK_NAMES = tuple(REGISTRY)
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one verification: the witness of a failure, absent exactly
-    when the identity holds, and any constants the check extracted."""
+    when the identity holds, and any constants the check reports."""
 
     witness: str | None = None
     data: dict[str, str] | None = None
@@ -169,13 +168,13 @@ def check_prop3(i: int, m: int) -> CheckReport:
                      = -A (y+2m+i)_(3m+2i+1) (y+m-1/2)_m
     mod x+y-m:  2*ft =  B (x+m+i)_(3m+2i+1) (x-1/2)_m
                      = -B (y+m+i)_(3m+2i+1) (y-1/2)_m
-    with A, B depending only on (i, m); they are extracted, then the three
-    companion congruences are verified against them.  Last, A = B =
-    2*f[i,m](1, -1) = 2 integral_0^1 t^(2i) (1-t^2)^(2m) dt: the top-degree
-    part of ft[i,m] is f[i,m], and each target is monic.
+    with A = B = 2*f[i,m](1, -1) = 2 integral_0^1 t^(2i) (1-t^2)^(2m) dt: the
+    top-degree part of ft[i,m] is f[i,m], and each target is monic.  The
+    witness is the first nonzero difference of two sides, in the order above.
     """
     doubled = deformed_poly(i, m) * 2
     swapped = doubled.swap()
+    const = 2 * even_moment(i, 2 * m)
     length = 3 * m + 2 * i + 1
 
     cases = (
@@ -183,24 +182,16 @@ def check_prop3(i: int, m: int) -> CheckReport:
         (XPY_FORM.shifted(m), 2 * m + i, Fraction(2 * m - 1, 2)),
         (XPY_FORM.shifted(-m), m + i, Fraction(-1, 2)),
     )
-    extracted: list[Fraction] = []
     for form, ff_shift, half_shift in cases:
+        rhs = ff_unipoly(ff_shift, length) * ff_unipoly(half_shift, m) * const
         # reduce_mod eliminates x, so the swap leaves the remainder in x
-        in_x = form.reduce_mod(swapped)
-        target = ff_unipoly(ff_shift, length) * ff_unipoly(half_shift, m)
-        lam, residual = split_cofactor(in_x, target)
-        if residual:
-            return CheckReport(residual.to_text("x"))
-        in_y = form.reduce_mod(doubled)
-        companion = in_y + target * lam  # must equal -lam * target
-        if companion:
-            return CheckReport(companion.to_text("y"))
-        extracted.append(lam)
-
-    a_const, b_const = extracted
-    expected = 2 * even_moment(i, 2 * m)
-    off = next(filter(None, (lam - expected for lam in extracted)), 0)
-    return CheckReport(_witness(BiPoly.const(off)), data={"A": str(a_const), "B": str(b_const)})
+        in_x = form.reduce_mod(swapped) - rhs
+        if in_x:
+            return CheckReport(in_x.to_text("x"))
+        in_y = form.reduce_mod(doubled) + rhs
+        if in_y:
+            return CheckReport(in_y.to_text("y"))
+    return CheckReport(data={"A": str(const), "B": str(const)})
 
 
 def _symmetrized(i: int, m: int) -> BiPoly:

@@ -10,7 +10,7 @@ those the process may run on; the first line appears once the
 smallest-m group is done.  Each worker is pinned to its own CPU of the
 affinity mask, so that two of them never share one; on a platform without
 an affinity call the workers are not pinned.  `catb2 basis` prints the two
-basis polynomials for one m together with the extracted constants.
+basis polynomials for one m with the constants C of saito and A, B of prop3.
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 usage error,
 3 the harness broke: a check raised (a RESULT=ERROR line; the sweep goes on),
@@ -269,7 +269,7 @@ def run_basis(m: int, fmt: str, out: IO[str] | None = None) -> int:
     for i in (0, 1):
         report = checks.check_prop3(i, m)
         if not report.passed:
-            print(f"catb2: constant extraction failed: {report.witness}", file=sys.stderr)
+            print(f"catb2: prop3 failed at i={i}: {report.witness}", file=sys.stderr)
             return 1
         assert report.data is not None
         fields[f"A{i}"] = report.data["A"]

@@ -15,8 +15,8 @@ content/primitive-part form), so all arithmetic and the falling-factorial
 builders run in Python integers.  Every root substitution (`reduce_mod`,
 `subst_value`, `first_remainder`) is one packed integer Horner loop,
 `_subst_roots`.  Fraction is the coefficient type at every interface:
-constructors take Fraction or int values, `UniPoly.coeff` returns Fraction,
-and `.terms` is a Fraction view built on first use for text and tests.
+constructors take Fraction or int values, and `.terms` is a Fraction view
+built on first use for text and tests.
 
 The canonical text form (written for failure witnesses and the CLI; never parsed) is
 
@@ -145,13 +145,6 @@ class UniPoly(_IntPoly):
         return UniPoly._canon(acc, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def degree(self) -> int:
-        """Degree, with the zero polynomial mapped to -1."""
-        return max(self.num, default=-1)
-
-    def coeff(self, e: int) -> Fraction:
-        return Fraction(self.num.get(e, 0), self.den)
 
     def as_bipoly(self, var: str) -> BiPoly:
         if var not in ("x", "y"):
@@ -329,12 +322,6 @@ def first_remainder(p: BiPoly, form: LinearForm, shift: RatLike, count: int) -> 
     """First nonzero remainder of p modulo form+shift-j, j = 0..count-1."""
     roots = [-(form.c + shift - j) for j in range(count)]
     return next(filter(None, _subst_roots(p, "x", -form.b, roots)), None)
-
-
-def split_cofactor(p: UniPoly, d: UniPoly) -> tuple[Fraction, UniPoly]:
-    """Best constant lam for p = lam*d plus the residual p - lam*d."""
-    lam = p.coeff(p.degree()) / d.coeff(d.degree()) if p and d else Fraction(0)
-    return lam, p - d * lam
 
 
 @_cached

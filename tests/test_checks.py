@@ -13,9 +13,10 @@ from catb2 import checks as ck
 from catb2 import cli
 from catb2 import constructions as cons
 from catb2 import poly
+from catb2 import rational
 from catb2.checks import CHECK_NAMES, CheckReport
 from catb2.poly import X_FORM, XPY_FORM, BiPoly, first_remainder
-from catb2.rational import clear_caches
+from catb2.rational import beta_half, clear_caches
 
 
 @pytest.fixture
@@ -94,11 +95,14 @@ def test_prop3_constants_for_base_cell():
 
 
 def test_prop3_pass():
-    for i in range(3):
-        for m in range(3):
+    # A = B = 2 integral_0^1 t^(2i) (1-t^2)^(2m) dt = B(i+1/2, 2m+1), here
+    # through the Beta integral's falling-factorial form
+    for i in range(5):
+        for m in range(9):
             rep = ck.check_prop3(i, m)
+            expected = str(beta_half(0, i, 2 * m))
             assert rep.passed
-            assert set(rep.data) == {"A", "B"}
+            assert rep.data == {"A": expected, "B": expected}
 
 
 def test_prop3_fails_on_scaled_remainders(monkeypatch):
@@ -275,10 +279,10 @@ MUTATIONS = {
 
 
 @contextlib.contextmanager
-def mutated(target: str, at, perturb):
+def mutated(target: str, at, perturb, namespaces=(cons, ck)):
     """Run the body with construction `target` perturbed by `perturb` at the
     arguments `at` (None: all), on caches that are empty before and dropped
-    after."""
+    after.  The fake replaces `target` in each of `namespaces` that holds it."""
     original = getattr(cons, target)
 
     def fake(*args):
@@ -287,7 +291,7 @@ def mutated(target: str, at, perturb):
 
     clear_caches()
     with pytest.MonkeyPatch.context() as mp:
-        for module in (cons, ck):  # every namespace that calls it by this name
+        for module in namespaces:  # each namespace that calls it by this name
             if vars(module).get(target) is original:
                 mp.setattr(module, target, fake)
         try:
@@ -331,6 +335,42 @@ def test_mutated_recurrence_combo_fails_the_checks_that_share_it(perturb, names)
         with mutated("recurrence_combo", None, perturb):
             report = cli.execute_task(("run", name, MUTATIONS[name][-1]))
         assert isinstance(report, CheckReport) and not report.passed, name
+
+
+# A fault in one shared kernel, patched in every module that calls it: the
+# exact set of checks whose cells then FAIL or raise on --i 0..4 --m 0..8,
+# and the sweep's exit code.
+_SCALARS = {"expansion", "prop2", "prop3", "saito"}
+_POLYS = {"lemma1", "membership", "prop1", "prop2", "prop3", "saito", "theorem", "v-recurrence"}
+KERNEL_FAULTS = {
+    "even_moment": (lambda v, *a: v * 3, {"prop3", "saito"}, 1),
+    "beta_half": (lambda v, *a: v * 3, _SCALARS, 1),
+    "ff_unipoly": (lambda v, shift, k: v * 2 if k >= 3 else v, _POLYS | {"lemma2", "lemma3"}, 1),
+    "binomial": (lambda v, n, k: v + 1 if 0 < k < n else v, _POLYS | {"expansion"}, 1),
+    # some cells divide by a pole the fault creates, so the sweep exits 3
+    "falling_factorial_pair": (
+        lambda v, a, d, k: (v[0] + 1, v[1]) if k >= 2 else v,
+        _POLYS | {"expansion", "lemma2", "lemma3"},
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", KERNEL_FAULTS)
+def test_kernel_fault_is_caught_by_exactly_the_checks_that_use_it(kernel):
+    perturb, catchers, code = KERNEL_FAULTS[kernel]
+    cfg = cli.SweepConfig(
+        i_range=(0, 4), m_range=(0, 8), k_extra=2, checks=CHECK_NAMES, format="text", jobs=1
+    )
+    out = io.StringIO()
+    with mutated(kernel, None, perturb, namespaces=(rational, poly, cons, ck)):
+        assert cli.run_verify(cfg, out) == code
+    caught = {
+        line.split()[0].removeprefix("CHECK=")
+        for line in out.getvalue().splitlines()
+        if "RESULT=FAIL" in line or "RESULT=ERROR" in line
+    }
+    assert caught == catchers
 
 
 @pytest.mark.parametrize(

@@ -236,7 +236,7 @@ def test_halfint_term_denominator_case():
         ff_unipoly(_half(0), 2),
     )
     assert got == expected
-    assert got.denom.degree() > 0
+    assert max(got.denom.num) > 0
 
 
 def test_halfint_term_rejects_t_above_k():

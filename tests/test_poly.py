@@ -23,7 +23,6 @@ from catb2.poly import (
     ff_unipoly,
     ff_unirat,
     first_remainder,
-    split_cofactor,
 )
 from oracles import divrem_linear, subst_affine
 
@@ -157,25 +156,11 @@ def test_substitution_is_a_homomorphism(p, q):
     assert image(p + q) == image(p) + image(q)
 
 
-def test_constant_cofactor():
-    x = UniPoly({1: 1})
-    d = x * (x - UniPoly.const(1))
-    assert split_cofactor(d * 2, d) == (2, UniPoly())
-    assert split_cofactor(UniPoly(), x) == (0, UniPoly())
-
-
-def test_constant_cofactor_rejects_nonmultiple():
-    x = UniPoly({1: 1})
-    lam, residual = split_cofactor(x * x + UniPoly.const(1), x)
-    assert residual  # no constant multiple of x equals x^2 + 1
-    assert (lam, residual) == (1, x * x - x + UniPoly.const(1))
-
-
 def test_unipoly_degree_and_eval():
     p = ff_unipoly(1, 3)  # (v+1)v(v-1)
-    assert p.degree() == 3
+    assert max(p.num) == 3
     assert p.as_bipoly("x").subst_value("x", 2) == UniPoly.const(6)
-    assert UniPoly().degree() == -1
+    assert not UniPoly().num
 
 
 def test_ff_unirat_negative_length():

@@ -1,16 +1,20 @@
 """Every benchmark workload prints the report stream the benchmark recorded,
-and a sweep under each mutation prints the witnesses recorded here.
+and a sweep under each mutation prints the verdicts and witnesses recorded
+here.
 
 perfbench/run.py holds the sha256 of each workload's text report; the
 workloads are run here in process, so a change that alters one byte of a
 report fails tier-1 and not only the benchmark.  The benchmark's runs all
-pass, so the failing-run stream is pinned separately.
+pass, so the failing-run stream is pinned separately, twice: whole, and with
+every witness cut off.  A change that rewrites a witness moves only the
+first pin; one that flips a verdict moves both.
 """
 
 import hashlib
 import importlib.util
 import io
 import multiprocessing
+import re
 import sys
 from pathlib import Path
 
@@ -74,10 +78,12 @@ SWEEP_MUTATIONS = [
     ("defining_poly", None, lambda phi, m: phi + BiPoly.monomial(1, 6 * m + 3, 2 * m + 1)),
     ("deformed_poly", None, lambda f, i, m: f + BiPoly.monomial(1, 1, 1)),
 ]
-MUTATION_RUNS_DIGEST = "382ce3f39683a3690de81440636b27b19023c02855208bec4dd3c508b75e6fee"
+MUTATION_RUNS_DIGEST = "20615559e13e85a0727c1d5571e87060f47cba093c1d9054deebfbb3c08b2783"
+# The same stream with each line's " WITNESS=..." tail removed, lines joined by "\n".
+MUTATION_VERDICTS_DIGEST = "c908469cda410df088d54d6231e3f3c5d8cde9922fb47482b1203ea93d39b9b1"
 
 
-def _mutation_runs_digest(jobs: int) -> str:
+def _mutation_runs(jobs: int) -> str:
     cfg = cli.SweepConfig(
         i_range=(0, 3), m_range=(0, 3), k_extra=3, checks=CHECK_NAMES, format="text", jobs=jobs
     )
@@ -85,11 +91,18 @@ def _mutation_runs_digest(jobs: int) -> str:
     for mutation in SWEEP_MUTATIONS:
         with mutated(*mutation):
             assert cli.run_verify(cfg, out) == 1
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return out.getvalue()
+
+
+def _assert_recorded(stream: str) -> None:
+    # verdicts first: a flipped verdict fails here, a rewritten witness below
+    verdicts = "\n".join(re.sub(r" WITNESS=.*", "", line) for line in stream.splitlines())
+    assert hashlib.sha256(verdicts.encode()).hexdigest() == MUTATION_VERDICTS_DIGEST
+    assert hashlib.sha256(stream.encode()).hexdigest() == MUTATION_RUNS_DIGEST
 
 
 def test_mutation_runs_report_the_recorded_witnesses():
-    assert _mutation_runs_digest(jobs=1) == MUTATION_RUNS_DIGEST
+    _assert_recorded(_mutation_runs(jobs=1))
 
 
 @pytest.mark.skipif(
@@ -98,4 +111,4 @@ def test_mutation_runs_report_the_recorded_witnesses():
 )
 def test_mutation_runs_under_the_pool_report_the_recorded_witnesses(monkeypatch):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # a pool even on one CPU
-    assert _mutation_runs_digest(jobs=2) == MUTATION_RUNS_DIGEST
+    _assert_recorded(_mutation_runs(jobs=2))
