@@ -1,19 +1,19 @@
 """Executable identity checks over the Cat(B2, m) constructions.
 
-`REGISTRY` declares every check: its name, which cells of the (i, m) grid
-it runs and with what parameters.  Each entry has one `check_*` function.
-Every check compares two independently built exact values and returns a
-CheckReport; nothing here raises on a mathematical mismatch (only on
-out-of-domain parameters).  A report fails exactly when it carries a
-witness: the serialized nonzero difference or remainder that falsifies
-the identity.
+`REGISTRY` declares every check: its name and the parameters each cell of
+the (i, m) grid runs, none for a cell it skips.  Each entry has one
+`check_*` function.  Every check compares two independently built exact
+values and returns a CheckReport; nothing here raises on a mathematical
+mismatch (only on out-of-domain parameters).  A report fails exactly when
+it carries a witness: the serialized nonzero difference or remainder that
+falsifies the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .constructions import (
     basis_derivation,
@@ -58,45 +58,30 @@ def _cell(i: int, m: int, k_extra: int) -> list[Params]:
     return [_p(i=i, m=m)]
 
 
-class Check(NamedTuple):
-    """One registry entry.  `params(i, m, k_extra)` lists the parameter
-    tuples that the grid cell (i, m) runs; a cell failing `applies(i, m)`
-    runs nothing and reports one SKIP instead."""
-
-    params: Callable[[int, int, int], list[Params]] = _cell
-    applies: Callable[[int, int], bool] = lambda i, m: True
-
-
-def _i_positive(i: int, m: int) -> bool:
-    return i >= 1
-
-
-# The one place a check is declared.  Registry order is also the report
-# order of the CLI sweep, which runs check_<name, '-' read as '_'> looked up
-# on this module at call time (so patched or traced functions are the ones
-# that run).
-REGISTRY = {
-    "expansion": Check(),
-    "ftilde-forms": Check(),
-    "lemma1": Check(lambda i, m, kx: [_p(i=i, m=m, l=l) for l in range(m + 2)], _i_positive),
+# The one place a check is declared: its name and the parameter tuples one
+# grid cell (i, m, k_extra) runs; a cell whose function returns no parameter
+# tuple reports SKIP.  Registry order is also the report order of the CLI
+# sweep, which runs check_<name, '-' read as '_'> looked up on this module at
+# call time (so patched or traced functions are the ones that run).
+REGISTRY: dict[str, Callable[[int, int, int], list[Params]]] = {
+    "expansion": _cell,
+    "ftilde-forms": _cell,
+    "lemma1": lambda i, m, kx: [_p(i=i, m=m, l=l) for l in range(m + 2)] if i else [],
     # a and b sweep the i and m ranges respectively
-    "lemma2": Check(lambda a, b, kx: [_p(a=a, b=b)]),
-    "lemma3": Check(
-        lambda i, m, kx: [
-            _p(i=i, m=m, k=k, l=l) for k in range(m + kx + 1) for l in range(k + 2)
-        ],
-        _i_positive,
-    ),
-    "prop1": Check(applies=_i_positive),
-    "prop2": Check(lambda i, m, kx: [_p(i=i, m=m, k=k) for k in range(m + kx + 1)]),
-    "prop3": Check(),
-    "theorem": Check(),
-    "v-recurrence": Check(applies=lambda i, m: m >= 1),
+    "lemma2": lambda a, b, kx: [_p(a=a, b=b)],
+    "lemma3": lambda i, m, kx: [
+        _p(i=i, m=m, k=k, l=l) for k in range(m + kx + 1) for l in range(k + 2)
+    ] if i else [],
+    "prop1": lambda i, m, kx: [_p(i=i, m=m)] if i else [],
+    "prop2": lambda i, m, kx: [_p(i=i, m=m, k=k) for k in range(m + kx + 1)],
+    "prop3": _cell,
+    "theorem": _cell,
+    "v-recurrence": lambda i, m, kx: [_p(i=i, m=m)] if m else [],
     # one line per m: the sweep keeps the first of the tasks repeated over i
-    "saito": Check(lambda i, m, kx: [_p(m=m)]),
-    "membership": Check(),
-    "parity": Check(),
-    "degree": Check(),
+    "saito": lambda i, m, kx: [_p(m=m)],
+    "membership": _cell,
+    "parity": _cell,
+    "degree": _cell,
 }
 CHECK_NAMES = tuple(REGISTRY)
 
@@ -217,8 +202,6 @@ def check_v_recurrence(i: int, m: int) -> CheckReport:
 
     (2i+1)/(2m) V[i,m] = (x^2+y^2-(i+m+1)^2-(i+1)^2) V[i+1,m-1] - 2 V[i+2,m-1].
     """
-    if m < 1:
-        raise ValueError("recurrence needs m >= 1")
     quad = recurrence_quad(i + 1, m - 1)
     return CheckReport(_witness(-recurrence_combo(_symmetrized, i + 1, m - 1, quad)))
 

@@ -33,7 +33,8 @@ from . import checks
 from .checks import CHECK_NAMES, REGISTRY, CheckReport, Params
 from .constructions import deformed_poly, saito_constant
 
-# action is "run" or "skip"; skipped cells fail a check's precondition.
+# action is "run" or "skip"; a cell whose function returns no parameter
+# tuple reports SKIP.
 Task = tuple[str, str, Params]
 
 
@@ -98,13 +99,10 @@ def build_tasks(cfg: SweepConfig) -> list[Task]:
     """The full deterministic task list for a sweep, in report order."""
     tasks: list[Task] = []
     for name in cfg.checks:
-        check = REGISTRY[name]
         for i in range(cfg.i_range[0], cfg.i_range[1] + 1):
             for m in range(cfg.m_range[0], cfg.m_range[1] + 1):
-                if check.applies(i, m):
-                    tasks += [("run", name, p) for p in check.params(i, m, cfg.k_extra)]
-                else:
-                    tasks.append(("skip", name, (("i", i), ("m", m))))
+                runs = [("run", name, p) for p in REGISTRY[name](i, m, cfg.k_extra)]
+                tasks += runs or [("skip", name, (("i", i), ("m", m)))]
     # A check whose parameters ignore i (saito) repeats its tasks: keep the first.
     return list(dict.fromkeys(tasks))
 
@@ -168,22 +166,13 @@ def _execute_group(group: list[Task]) -> list[CheckReport | CellError | None]:
     return [execute_task(task) for task in group]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else every CPU of the host."""
+def _cpus() -> list[int | None]:
+    """The CPUs this process may run on, one per pool worker it can use: its
+    sorted affinity mask, or None for every CPU of the host on a platform
+    without an affinity call (whose workers are not pinned)."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _cpu_handout(workers: int) -> list[int | None]:
-    """The CPU each of `workers` pool workers is pinned to: a different one of
-    the affinity mask each while they last (round robin beyond), or None for
-    every worker on a platform without an affinity call."""
-    if not hasattr(os, "sched_getaffinity"):
-        return [None] * workers
-    mask = sorted(os.sched_getaffinity(0))
-    return [mask[j % len(mask)] for j in range(workers)]
+        return sorted(os.sched_getaffinity(0))
+    return [None] * (os.cpu_count() or 1)
 
 
 def _start_worker(cpus) -> None:
@@ -200,20 +189,21 @@ def _start_worker(cpus) -> None:
 
 
 def _pool_results(stack: contextlib.ExitStack, tasks: list[Task], groups: list[list[int]],
-                  workers: int) -> Iterator[CheckReport | CellError | None]:
-    """The report of each task in order, from a pool of `workers` processes
-    that runs one group per submission and that `stack` shuts down.  Only this
-    path loads the pool's modules; a dead worker raises WorkerDied."""
+                  cpus: list[int | None]) -> Iterator[CheckReport | CellError | None]:
+    """The report of each task in order, from a pool of one process per entry
+    of `cpus`, pinned to it, that runs one group per submission and that
+    `stack` shuts down.  Only this path loads the pool's modules; a dead
+    worker raises WorkerDied."""
     import concurrent.futures, multiprocessing
 
     others = set(multiprocessing.active_children())
     # One CPU per worker; every worker takes one as it starts, so none waits.
-    cpus = multiprocessing.SimpleQueue()
-    stack.callback(cpus.close)
-    for cpu in _cpu_handout(workers):
-        cpus.put(cpu)
+    handout = multiprocessing.SimpleQueue()
+    stack.callback(handout.close)
+    for cpu in cpus:
+        handout.put(cpu)
     pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
-        workers, initializer=_start_worker, initargs=(cpus,)))
+        len(cpus), initializer=_start_worker, initargs=(handout,)))
     # Runs first on exit: an early exit drops the queued groups instead of
     # waiting for them, and an exit by exception ends the running ones too.
     def stop(error, *_):
@@ -238,13 +228,13 @@ def run_verify(cfg: SweepConfig, out: IO[str] | None = None) -> int:
     tasks = build_tasks(cfg)
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0, "ERROR": 0}
     # The pool forks all its workers at once, so never more than can work.
-    workers = min(cfg.jobs, _usable_cpus())
-    groups = _task_groups(tasks, workers) if workers > 1 else []
+    cpus = _cpus()[: cfg.jobs]
+    groups = _task_groups(tasks, len(cpus)) if len(cpus) > 1 else []
     with contextlib.ExitStack() as stack:
         if len(groups) <= 1:
             results = map(execute_task, tasks)
         else:
-            results = _pool_results(stack, tasks, groups, min(workers, len(groups)))
+            results = _pool_results(stack, tasks, groups, cpus[: len(groups)])
         for task, report in zip(tasks, results):
             counts[_result(report)] += 1
             print(_format_line(task, report, cfg.format), file=out)

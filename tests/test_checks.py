@@ -282,8 +282,11 @@ MUTATIONS = {
 def mutated(target: str, at, perturb, namespaces=(cons, ck)):
     """Run the body with construction `target` perturbed by `perturb` at the
     arguments `at` (None: all), on caches that are empty before and dropped
-    after.  The fake replaces `target` in each of `namespaces` that holds it."""
-    original = getattr(cons, target)
+    after.  The fake replaces `target` in each of `namespaces` that holds it,
+    or a method `Class.name` of poly on its class."""
+    owner, _, target = target.rpartition(".")
+    holders = [vars(poly)[owner]] if owner else [ns for ns in namespaces if target in vars(ns)]
+    original = vars(holders[0])[target]
 
     def fake(*args):
         value = original(*args)
@@ -291,9 +294,9 @@ def mutated(target: str, at, perturb, namespaces=(cons, ck)):
 
     clear_caches()
     with pytest.MonkeyPatch.context() as mp:
-        for module in namespaces:  # each namespace that calls it by this name
-            if vars(module).get(target) is original:
-                mp.setattr(module, target, fake)
+        for holder in holders:  # each namespace that calls it by this name
+            if vars(holder)[target] is original:
+                mp.setattr(holder, target, fake)
         try:
             yield
         finally:
@@ -337,9 +340,19 @@ def test_mutated_recurrence_combo_fails_the_checks_that_share_it(perturb, names)
         assert isinstance(report, CheckReport) and not report.passed, name
 
 
-# A fault in one shared kernel, patched in every module that calls it: the
-# exact set of checks whose cells then FAIL or raise on --i 0..4 --m 0..8,
-# and the sweep's exit code.
+def _both_at_least(terms: int, a, b) -> bool:
+    return isinstance(b, type(a)) and min(len(a.num), len(b.num)) >= terms
+
+
+def _bump_top(p):
+    """p with 1 added to the coefficient of its largest exponent key."""
+    return p + type(p)({max(p.num): 1}) if p else p
+
+
+# A fault in one shared kernel, patched in every module that calls it (a
+# polynomial method on its class, `__rmul__` left as is): the exact set of
+# checks whose cells then FAIL or raise on --i 0..4 --m 0..8, and the
+# sweep's exit code.
 _SCALARS = {"expansion", "prop2", "prop3", "saito"}
 _POLYS = {"lemma1", "membership", "prop1", "prop2", "prop3", "saito", "theorem", "v-recurrence"}
 KERNEL_FAULTS = {
@@ -352,6 +365,30 @@ KERNEL_FAULTS = {
         lambda v, a, d, k: (v[0] + 1, v[1]) if k >= 2 else v,
         _POLYS | {"expansion", "lemma2", "lemma3"},
         3,
+    ),
+    "BiPoly.__mul__": (
+        lambda v, a, b: v * 2 if _both_at_least(10, a, b) else v,
+        {"lemma1", "prop1", "saito"},
+        1,
+    ),
+    # no univariate product on this grid has both operands of 12 terms or more
+    "UniPoly.__mul__": (
+        lambda v, a, b: v * 2 if _both_at_least(5, a, b) else v,
+        _POLYS | {"lemma2", "lemma3"},
+        1,
+    ),
+    "_IntPoly._combine": (
+        lambda v, a, b, sign: _bump_top(v) if _both_at_least(10, a, b) else v,
+        _POLYS | {"ftilde-forms", "lemma2", "lemma3"},
+        1,
+    ),
+    # every remainder reads zero: theorem and membership ask only whether a
+    # remainder is zero, so they pass under this fault; prop2 and prop3
+    # compare a remainder with a value built without it
+    "_subst_roots": (
+        lambda v, p, var, slope, values: (poly.UniPoly() for _ in values),
+        {"prop2", "prop3"},
+        1,
     ),
 }
 

@@ -227,24 +227,24 @@ def test_one_cell_sweep_runs_in_process(monkeypatch):
     cfg = _cfg(checks=parse_checks("all"), i_range=(1, 1), m_range=(1, 1))
     sequential = _verify_lines(cfg)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_cpus", lambda: [None, None])
     assert _verify_lines(dataclasses.replace(cfg, jobs=2)) == sequential
 
 
 @pytest.mark.parametrize(
-    "mask, workers, expected",
-    [({3}, 2, [3, 3]), ({5, 1}, 2, [1, 5]), (set(range(64)), 4, [0, 1, 2, 3]), (None, 2, [None, None])],
+    "mask, expected",
+    [({3}, [3]), ({5, 1}, [1, 5]), (set(range(64)), list(range(64))), (None, [None] * 4)],
     ids=["1-cpu", "2-cpus", "64-cpus", "no-affinity-call"],
 )
-def test_cpu_handout(monkeypatch, mask, workers, expected):
-    """A different CPU of the mask for each worker while they last, shared
-    round robin beyond (a pool forced onto one CPU), and None without an
-    affinity call."""
+def test_cpus(monkeypatch, mask, expected):
+    """The sorted affinity mask, and without an affinity call None for each
+    CPU of the host."""
     if mask is None:
         monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     else:
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: mask, raising=False)
-    assert cli._cpu_handout(workers) == expected
+    assert cli._cpus() == expected
 
 
 @pytest.mark.skipif(
@@ -275,7 +275,7 @@ _ONE_CPU_SWEEP = """
 import os, sys
 from catb2 import cli
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-cli._usable_cpus = lambda: 2
+cli._cpus = lambda: sorted(os.sched_getaffinity(0)) * 2
 sys.exit(cli.main(["verify", "--i", "0..1", "--m", "0..3", "--checks", "parity,degree", "--jobs", "2"]))
 """
 
@@ -300,7 +300,7 @@ def test_refused_pinning_leaves_the_pool_working(monkeypatch):
     cfg = _cfg(checks=("parity", "degree"), i_range=(0, 1), m_range=(0, 3))
     sequential = _verify_lines(cfg)
     monkeypatch.setattr(cli.os, "sched_setaffinity", refuse, raising=False)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_cpus", lambda: [0, 0])  # each worker asks for a CPU
     assert _verify_lines(dataclasses.replace(cfg, jobs=2)) == sequential
 
 
@@ -308,7 +308,10 @@ def test_cold_pool_sweep_leaves_stderr_clean():
     """A cold `catb2 verify --jobs 2` (with a pool even on one CPU) prints
     the summary alone: no traceback from a worker's start and no warning of a
     leaked semaphore from the resource tracker at exit."""
-    script = "import sys; from catb2 import cli; cli._usable_cpus = lambda: 2; sys.exit(cli.main())"
+    script = (
+        "import sys; from catb2 import cli; cpus = cli._cpus() * 2; "
+        "cli._cpus = lambda: cpus; sys.exit(cli.main())"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", script, "verify", "--jobs", "2"],
         capture_output=True,
@@ -508,7 +511,7 @@ def check_degree(i, m):
     return original(i, m)
 
 checks.check_degree = check_degree
-cli._usable_cpus = lambda: 2
+cli._cpus = lambda: [None, None]
 code = cli.main(["verify", "--i", "0", "--m", "0..1", "--checks", "degree", "--jobs", "2"])
 print("live children:", len(multiprocessing.active_children()), file=sys.stderr)
 sys.exit(code)
@@ -602,7 +605,7 @@ def test_dead_worker_exits_three(monkeypatch, capsys):
         return original(i, m)
 
     monkeypatch.setattr(checks, "check_degree", check)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_cpus", lambda: [None, None])
     assert main(["verify", "--m", "0..3", "--checks", "degree", "--jobs", "2"]) == 3
     err = capsys.readouterr().err
     assert err == "catb2: error: a worker process died; the report is incomplete\n"

@@ -24,9 +24,10 @@ def _exempt(name: str) -> bool:
 
 
 def test_every_definition_is_used():
-    # A top-level function or class must be referenced as a name or attribute
-    # somewhere in src, and a method (Class.name) as an attribute `.name`, so
-    # that a parameter or local of the same name does not keep it alive.
+    # A top-level function, class or assigned name must be read as a name or
+    # attribute somewhere in src, and a method (Class.name) as an attribute
+    # `.name`, so that a parameter or local of the same name does not keep it
+    # alive.
     # Either counts as used when it appears as a word in perfbench (the tracer
     # wraps what it names).  Test-only helpers belong in tests/oracles.py.
     defs, names, attrs, words = [], set(), set(), set()
@@ -35,6 +36,14 @@ def test_every_definition_is_used():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((node.name, node.name, False))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs += [
+                    (name.id, name.id, False)
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                ]
             if isinstance(node, ast.ClassDef):
                 defs += [
                     (f"{node.name}.{sub.name}", sub.name, True)
@@ -42,7 +51,7 @@ def test_every_definition_is_used():
                     if isinstance(sub, ast.FunctionDef)
                 ]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attrs.add(node.attr)

@@ -110,5 +110,5 @@ def test_mutation_runs_report_the_recorded_witnesses():
     reason="pool workers see the patched constructions only when forked",
 )
 def test_mutation_runs_under_the_pool_report_the_recorded_witnesses(monkeypatch):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # a pool even on one CPU
+    monkeypatch.setattr(cli, "_cpus", lambda: [None, None])  # a pool even on one CPU
     _assert_recorded(_mutation_runs(jobs=2))
