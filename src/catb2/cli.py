@@ -3,10 +3,10 @@
 `catb2 verify` runs selected checks over an (i, m) grid and prints one
 report line per parameter cell, in an order that depends only on the
 configuration (never on timing or the worker count).  The tasks come from
-`checks.REGISTRY`.  `--jobs N` hands whole groups of them (one m each, or
-one (m, i) cell when there are fewer m values than workers) to at most
-min(N, CPUs, groups) processes, largest m first, where CPUs counts only
-those the process may run on; the first line appears once the
+`checks.REGISTRY`.  `--jobs N` hands whole groups of them (the tasks of one m
+of the grid, or of one (m, i) cell when there are fewer m values than workers)
+to at most min(N, CPUs, groups) processes, largest m first, where CPUs counts
+only those the process may run on; the first line appears once the
 smallest-m group is done.  Each worker is pinned to its own CPU of the
 affinity mask, so that two of them never share one; on a platform without
 an affinity call the workers are not pinned.  `catb2 basis` prints the two
@@ -27,15 +27,16 @@ import os
 import sys
 import traceback
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 from . import checks
-from .checks import CHECK_NAMES, REGISTRY, CheckReport, Params
+from .checks import CHECK_NAMES, REGISTRY, Params
 from .constructions import deformed_poly, saito_constant
 
-# action is "run" or "skip"; a cell whose function returns no parameter
-# tuple reports SKIP.
+# action is "run", or "skip" for a cell whose function returns no parameters;
+# `build_tasks` maps each task to the (m, i) grid cell that produced it.
 Task = tuple[str, str, Params]
+Fields = dict[str, str]
 
 
 class UsageError(ValueError):
@@ -44,10 +45,6 @@ class UsageError(ValueError):
 
 class WorkerDied(RuntimeError):
     """A `--jobs` worker was killed or exited; the report is incomplete."""
-
-
-class CellError(str):
-    """The one-line message of a check that raised instead of reporting."""
 
 
 @dataclass(frozen=True)
@@ -95,73 +92,57 @@ def parse_checks(text: str) -> tuple[str, ...]:
     return tuple(name for name in CHECK_NAMES if name in requested)
 
 
-def build_tasks(cfg: SweepConfig) -> list[Task]:
-    """The full deterministic task list for a sweep, in report order."""
-    tasks: list[Task] = []
+def build_tasks(cfg: SweepConfig) -> dict[Task, tuple[int, int]]:
+    """Every task of a sweep in report order, mapped to the first (m, i) cell
+    that produced it (saito ignores i, so the first i keeps its tasks)."""
+    tasks: dict[Task, tuple[int, int]] = {}
     for name in cfg.checks:
         for i in range(cfg.i_range[0], cfg.i_range[1] + 1):
             for m in range(cfg.m_range[0], cfg.m_range[1] + 1):
                 runs = [("run", name, p) for p in REGISTRY[name](i, m, cfg.k_extra)]
-                tasks += runs or [("skip", name, (("i", i), ("m", m)))]
-    # A check whose parameters ignore i (saito) repeats its tasks: keep the first.
-    return list(dict.fromkeys(tasks))
+                for task in runs or [("skip", name, (("i", i), ("m", m)))]:
+                    tasks.setdefault(task, (m, i))
+    return tasks
 
 
-def execute_task(task: Task) -> CheckReport | CellError | None:
-    """Run one task; None signals a skipped cell, CellError a check that
-    raised.  Top level for pickling."""
+def execute_task(task: Task) -> tuple[Fields, Fields | None]:
+    """Run one task: the fields of its report line and the constants that
+    only a JSON record carries.  Top level for pickling."""
     action, name, params = task
     if action == "skip":
-        return None
+        return {"result": "SKIP"}, None
     try:
-        return getattr(checks, "check_" + name.replace("-", "_"))(**dict(params))
+        report = getattr(checks, "check_" + name.replace("-", "_"))(**dict(params))
     except Exception as exc:  # reported on one line; the sweep goes on
         print(f"catb2: CHECK={name}", *(f"{k}={v}" for k, v in params), "raised:", file=sys.stderr)
         traceback.print_exc()
-        return CellError(" ".join(f"{type(exc).__name__}: {exc}".split()))
+        return {"result": "ERROR", "error": " ".join(f"{type(exc).__name__}: {exc}".split())}, None
+    fields = {"result": "PASS"} if report.passed else {"result": "FAIL", "witness": report.witness}
+    return fields, report.data
 
 
-def _result(report: CheckReport | CellError | None) -> str:
-    if isinstance(report, CellError):
-        return "ERROR"
-    return "SKIP" if report is None else ("PASS" if report.passed else "FAIL")
-
-
-def _format_line(task: Task, report: CheckReport | CellError | None, fmt: str) -> str:
+def _format_line(task: Task, fields: Fields, data: Fields | None, fmt: str) -> str:
     _, name, params = task
-    fields = {"result": _result(report)}
-    if isinstance(report, CheckReport) and report.witness is not None:
-        fields["witness"] = report.witness
-    if isinstance(report, CellError):
-        fields["error"] = str(report)
     if fmt == "text":
         parts = [f"CHECK={name}"] + [f"{key}={value}" for key, value in params]
         parts += [f"{key.upper()}={value}" for key, value in fields.items()]
         return " ".join(parts)
-    record: dict = {"check": name, "params": dict(params), **fields}
-    if isinstance(report, CheckReport) and report.data:
-        record.update(report.data)
-    return json.dumps(record)
+    return json.dumps({"check": name, "params": dict(params), **fields, **(data or {})})
 
 
-def _task_groups(tasks: list[Task], workers: int) -> list[list[int]]:
-    """The indices of `tasks` in the groups a pool of `workers` runs whole:
-    every task of one m, so that one worker builds its constructions, or of
-    one (m, i) cell when there are fewer m values than workers.  lemma2's
-    (a, b) is (i, m); saito's task was kept for the first i and joins that
-    cell.  Largest m first (longest-processing-time-first), report order
-    inside a group."""
-    cells = [(p.get("m", p.get("b")), p.get("i", p.get("a"))) for p in (dict(t[2]) for t in tasks)]
-    first_i = min((i for _, i in cells if i is not None), default=0)
-    per_cell = len({m for m, _ in cells}) < workers
+def _task_groups(tasks: dict[Task, tuple[int, int]], workers: int) -> list[list[Task]]:
+    """The groups of `tasks` a pool of `workers` runs whole: every task one m
+    of the grid produced, so that one worker builds its constructions, or one
+    (m, i) cell when there are fewer m values than workers.  Largest m first
+    (longest-processing-time-first, Graham 1969), report order inside a group."""
+    per_cell = len({m for m, _ in tasks.values()}) < workers
     groups: dict = {}
-    for index, (m, i) in enumerate(cells):
-        key = (m, first_i if i is None else i) if per_cell else m
-        groups.setdefault(key, []).append(index)
+    for task, (m, i) in tasks.items():
+        groups.setdefault((m, i) if per_cell else m, []).append(task)
     return [groups[key] for key in sorted(groups, reverse=True)]
 
 
-def _execute_group(group: list[Task]) -> list[CheckReport | CellError | None]:
+def _execute_group(group: list[Task]) -> list[tuple[Fields, Fields | None]]:
     """Run a group of tasks in one worker.  Top level for pickling."""
     return [execute_task(task) for task in group]
 
@@ -188,9 +169,9 @@ def _start_worker(cpus) -> None:
             os.sched_setaffinity(0, {cpu})
 
 
-def _pool_results(stack: contextlib.ExitStack, tasks: list[Task], groups: list[list[int]],
-                  cpus: list[int | None]) -> Iterator[CheckReport | CellError | None]:
-    """The report of each task in order, from a pool of one process per entry
+def _pool_results(stack: contextlib.ExitStack, tasks: Iterable[Task], groups: list[list[Task]],
+                  cpus: list[int | None]) -> Iterator[tuple[Fields, Fields | None]]:
+    """The outcome of each task in order, from a pool of one process per entry
     of `cpus`, pinned to it, that runs one group per submission and that
     `stack` shuts down.  Only this path loads the pool's modules; a dead
     worker raises WorkerDied."""
@@ -213,11 +194,12 @@ def _pool_results(stack: contextlib.ExitStack, tasks: list[Task], groups: list[l
 
     stack.push(stop)
     try:
-        slots = {}  # task index -> (its group's future, position in the group)
+        slots = {}  # task -> (its group's future, position in the group)
         for group in groups:
-            future = pool.submit(_execute_group, [tasks[index] for index in group])
-            slots.update((index, (future, pos)) for pos, index in enumerate(group))
-        for _, (future, pos) in sorted(slots.items()):
+            future = pool.submit(_execute_group, group)
+            slots.update((task, (future, pos)) for pos, task in enumerate(group))
+        for task in tasks:
+            future, pos = slots[task]
             yield future.result()[pos]
     except concurrent.futures.BrokenExecutor as exc:  # a worker was killed or exited
         raise WorkerDied from exc
@@ -235,9 +217,9 @@ def run_verify(cfg: SweepConfig, out: IO[str] | None = None) -> int:
             results = map(execute_task, tasks)
         else:
             results = _pool_results(stack, tasks, groups, cpus[: len(groups)])
-        for task, report in zip(tasks, results):
-            counts[_result(report)] += 1
-            print(_format_line(task, report, cfg.format), file=out)
+        for task, (fields, data) in zip(tasks, results):
+            counts[fields["result"]] += 1
+            print(_format_line(task, fields, data, cfg.format), file=out)
     raised = f", {counts['ERROR']} raised" if counts["ERROR"] else ""
     print(
         f"catb2: {counts['PASS']} passed, {counts['FAIL']} failed, "

@@ -112,7 +112,7 @@ def test_lemma2_lines_use_its_parameter_names():
 
 def test_task_order_is_deterministic():
     cfg = _cfg(checks=("theorem", "saito"), i_range=(0, 1), m_range=(0, 1))
-    assert build_tasks(cfg) == build_tasks(cfg)
+    assert list(build_tasks(cfg)) == list(build_tasks(cfg))  # dict == ignores order
     names = [task[1] for task in build_tasks(cfg)]
     assert names == ["theorem"] * 4 + ["saito"] * 2
 
@@ -121,7 +121,7 @@ def test_cell_parameter_ranges():
     # lemma1: l <= m+1; prop2: k <= m+k_extra; lemma3: k <= m+k_extra, l <= k+1
     cfg = _cfg(checks=("lemma1", "prop2", "lemma3"), i_range=(1, 1), m_range=(1, 1))
     cell = (("i", 1), ("m", 1))
-    assert build_tasks(cfg) == (
+    assert list(build_tasks(cfg)) == (
         [("run", "lemma1", cell + (("l", l),)) for l in range(3)]
         + [("run", "prop2", cell + (("k", k),)) for k in range(3)]
         + [("run", "lemma3", cell + (("k", k), ("l", l))) for k in range(3) for l in range(k + 2)]
@@ -190,34 +190,55 @@ def test_pool_size_is_capped_by_cpus_and_tasks(monkeypatch, cpus, workers):
     assert pool_sizes() == expected
 
 
-def _group_key(task) -> tuple:
-    """(m, i) of a task as the scheduler reads it: lemma2's (a, b) is (i, m)."""
-    params = dict(task[2])
-    return params.get("m", params.get("b")), params.get("i", params.get("a"))
+def test_every_task_maps_to_the_grid_cell_that_produced_it():
+    tasks = build_tasks(_cfg(checks=parse_checks("all"), i_range=(1, 3), m_range=(0, 2)))
+    for (_, name, params), cell in tasks.items():
+        p = dict(params)
+        if name == "lemma2":
+            assert cell == (p["b"], p["a"])
+        elif name == "saito":
+            assert cell == (p["m"], 1)  # no i: the first i of the grid keeps it
+        else:  # every other task, SKIPs included, names its own i and m
+            assert cell == (p["m"], p["i"])
+    assert sum(task[0] == "skip" for task in tasks) == 3  # v-recurrence at m = 0
 
 
 def test_task_groups_cover_every_task_once_by_descending_m():
     tasks = build_tasks(_cfg(checks=parse_checks("all"), i_range=(0, 2), m_range=(0, 3)))
     groups = cli._task_groups(tasks, workers=2)
-    assert sorted(index for group in groups for index in group) == list(range(len(tasks)))
-    assert all(group == sorted(group) for group in groups)  # report order inside
-    assert [{_group_key(tasks[index])[0] for index in group} for group in groups] == [
-        {3}, {2}, {1}, {0}
-    ]
-    lemma2 = [index for index, task in enumerate(tasks) if task[1] == "lemma2"]
+    order = list(tasks)
+    assert sorted(sum(groups, []), key=order.index) == order
+    assert all(group == sorted(group, key=order.index) for group in groups)  # report order inside
+    assert [{tasks[task][0] for task in group} for group in groups] == [{3}, {2}, {1}, {0}]
+    lemma2 = [task for task in tasks if task[1] == "lemma2"]
     assert len(lemma2) == 12
-    for index in lemma2:
-        b = dict(tasks[index][2])["b"]
-        assert index in groups[3 - b]
+    for task in lemma2:
+        assert task in groups[3 - dict(task[2])["b"]]
 
 
 def test_task_groups_split_a_sweep_of_fewer_m_than_workers_by_cell():
     tasks = build_tasks(_cfg(checks=parse_checks("all"), i_range=(0, 6), m_range=(8, 8)))
-    assert cli._task_groups(tasks, workers=1) == [list(range(len(tasks)))]
+    assert cli._task_groups(tasks, workers=1) == [list(tasks)]
     groups = cli._task_groups(tasks, workers=2)
-    cells = [{_group_key(tasks[index]) for index in group} for group in groups]
-    # saito's task (no i) was kept for the first i and joins that cell
-    assert cells == [{(8, i)} for i in range(6, 0, -1)] + [{(8, 0), (8, None)}]
+    cells = [{tasks[task] for task in group} for group in groups]
+    assert cells == [{(8, i)} for i in range(6, -1, -1)]
+    assert ("run", "saito", (("m", 8),)) in groups[-1]  # kept for the first i
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a spawned worker imports catb2 anew, which this quick test avoids",
+)
+def test_per_cell_pool_matches_sequential(monkeypatch):
+    """One m and four i: the pool runs a group per (m, i) cell, with lemma2's
+    (a, b) and saito's i-less task among them."""
+    cfg = _cfg(checks=parse_checks("all"), i_range=(0, 3), m_range=(3, 3))
+    assert len(cli._task_groups(build_tasks(cfg), workers=2)) == 4
+    sequential = _verify_lines(cfg)
+    assert "CHECK=lemma2 a=0 b=3 RESULT=PASS" in sequential[1]
+    assert "CHECK=saito m=3 RESULT=PASS" in sequential[1]
+    monkeypatch.setattr(cli, "_cpus", lambda: [None, None])
+    assert _verify_lines(dataclasses.replace(cfg, jobs=2)) == sequential
 
 
 def test_one_cell_sweep_runs_in_process(monkeypatch):

@@ -6,27 +6,16 @@ class (not inherited) and must not be shared with another class.  A traced
 `tiny` sweep must call every wrapper and print the untraced report.
 """
 
-import importlib.util
-from pathlib import Path
-
 from test_report_digests import RUN
 
 import catb2
 import catb2.cli
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+tracing = RUN.tracing  # the module perfbench/run.py traces with
 CLASSES = ("BiPoly", "UniPoly", "UniRatFunc", "LinearForm")
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("catb2_perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_target_is_in_its_holders_namespace():
-    tracing = _tracing()
     targets = [(catb2.cli, fn) for fn in tracing.CLI]
     targets += [(catb2.checks, tracing._check_function(name)) for name in tracing.CHECKS]
     targets += [(catb2.constructions, fn) for fn in tracing.CONSTRUCTIONS + tracing.MEMOS]
@@ -40,11 +29,10 @@ def test_every_target_is_in_its_holders_namespace():
 
 
 def test_traced_checks_follow_the_registry_order():
-    assert _tracing().CHECKS == catb2.checks.CHECK_NAMES
+    assert tracing.CHECKS == catb2.checks.CHECK_NAMES
 
 
 def test_no_poly_kernel_sits_on_two_classes():
-    tracing = _tracing()
     for cls, attr in tracing.POLY_KERNELS.values():
         if cls is None:
             continue
@@ -74,7 +62,7 @@ def test_tiny_grid_calls_every_span_and_traces_the_same_stream():
     catb2 = RUN._import_catb2()
     tiny = RUN.WORKLOADS["tiny"]
     plain = RUN._sweep_in_process(catb2, tiny, 0)[:2]
-    tracer = RUN.tracing.Tracer(catb2)
+    tracer = tracing.Tracer(catb2)
     tracer.install()
     try:
         traced = RUN._sweep_in_process(catb2, tiny, 0)[:2]
@@ -82,5 +70,5 @@ def test_tiny_grid_calls_every_span_and_traces_the_same_stream():
         tracer.uninstall()
     assert traced == plain == (plain[0], 0)
     calls = {name: span["calls"] for name, span in tracer.summary().items()}
-    assert list(calls) == RUN.tracing.span_names()
+    assert list(calls) == tracing.span_names()
     assert [name for name, n in calls.items() if n == 0] == []
