@@ -11,9 +11,8 @@ falsifies the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .constructions import (
     basis_derivation,
@@ -86,10 +85,11 @@ REGISTRY: dict[str, Callable[[int, int, int], list[Params]]] = {
 CHECK_NAMES = tuple(REGISTRY)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one verification: the witness of a failure, absent exactly
-    when the identity holds, and any constants the check reports."""
+    when the identity holds, and any constants the check reports.  A named
+    tuple rather than a dataclass, so that importing catb2 does not load
+    `dataclasses`."""
 
     witness: str | None = None
     data: dict[str, str] | None = None

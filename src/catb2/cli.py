@@ -22,12 +22,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
-import traceback
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from . import checks
 from .checks import CHECK_NAMES, REGISTRY, Params
@@ -47,8 +44,7 @@ class WorkerDied(RuntimeError):
     """A `--jobs` worker was killed or exited; the report is incomplete."""
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class _SweepFields(NamedTuple):
     i_range: tuple[int, int]
     m_range: tuple[int, int]
     k_extra: int
@@ -56,21 +52,32 @@ class SweepConfig:
     format: str
     jobs: int
 
-    def __post_init__(self) -> None:
-        for name, (lo, hi) in (("i", self.i_range), ("m", self.m_range)):
+
+class SweepConfig(_SweepFields):
+    """A validated sweep configuration: an immutable record, copied with
+    `_replace`, whose every construction (a copy's too) raises UsageError on
+    a value the CLI would reject."""
+
+    __slots__ = ()
+    # `_replace` builds its copy through `_make`; route it through __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, i_range, m_range, k_extra, checks, format, jobs):
+        for name, (lo, hi) in (("i", i_range), ("m", m_range)):
             if lo < 0 or hi < lo:
                 raise UsageError(f"empty or negative --{name} range {lo}..{hi}")
-        if self.k_extra < 0:
+        if k_extra < 0:
             raise UsageError("--k-extra must be nonnegative")
-        if self.jobs < 1:
+        if jobs < 1:
             raise UsageError("--jobs must be positive")
-        if self.format not in ("text", "json"):
-            raise UsageError(f"unknown format {self.format!r}")
-        unknown = [c for c in self.checks if c not in CHECK_NAMES]
+        if format not in ("text", "json"):
+            raise UsageError(f"unknown format {format!r}")
+        unknown = [c for c in checks if c not in CHECK_NAMES]
         if unknown:
             raise UsageError(f"unknown checks: {', '.join(unknown)}")
-        if not self.checks:
+        if not checks:
             raise UsageError("no checks selected")
+        return super().__new__(cls, i_range, m_range, k_extra, checks, format, jobs)
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -114,6 +121,8 @@ def execute_task(task: Task) -> tuple[Fields, Fields | None]:
     try:
         report = getattr(checks, "check_" + name.replace("-", "_"))(**dict(params))
     except Exception as exc:  # reported on one line; the sweep goes on
+        import traceback  # only a raising check needs it
+
         print(f"catb2: CHECK={name}", *(f"{k}={v}" for k, v in params), "raised:", file=sys.stderr)
         traceback.print_exc()
         return {"result": "ERROR", "error": " ".join(f"{type(exc).__name__}: {exc}".split())}, None
@@ -127,6 +136,8 @@ def _format_line(task: Task, fields: Fields, data: Fields | None, fmt: str) -> s
         parts = [f"CHECK={name}"] + [f"{key}={value}" for key, value in params]
         parts += [f"{key.upper()}={value}" for key, value in fields.items()]
         return " ".join(parts)
+    import json  # only --format json needs it
+
     return json.dumps({"check": name, "params": dict(params), **fields, **(data or {})})
 
 
@@ -248,6 +259,8 @@ def run_basis(m: int, fmt: str, out: IO[str] | None = None) -> int:
         fields[f"B{i}"] = report.data["B"]
     ordered = {k: fields[k] for k in ("f0", "f1", "C", "A0", "A1", "B0", "B1")}
     if fmt == "json":
+        import json
+
         print(json.dumps(ordered), file=out)
     else:
         for key, value in ordered.items():

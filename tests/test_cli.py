@@ -1,7 +1,6 @@
 """Harness behaviour: ranges, selection, report formats, exit codes."""
 
 import concurrent.futures
-import dataclasses
 import io
 import json
 import multiprocessing
@@ -54,6 +53,8 @@ def test_range_validation():
         _cfg(m_range=(-1, 0))
     with pytest.raises(UsageError):
         _cfg(jobs=0)
+    with pytest.raises(UsageError):
+        _cfg()._replace(jobs=0)  # a copy is validated too
 
 
 def test_parse_checks():
@@ -238,7 +239,7 @@ def test_per_cell_pool_matches_sequential(monkeypatch):
     assert "CHECK=lemma2 a=0 b=3 RESULT=PASS" in sequential[1]
     assert "CHECK=saito m=3 RESULT=PASS" in sequential[1]
     monkeypatch.setattr(cli, "_cpus", lambda: [None, None])
-    assert _verify_lines(dataclasses.replace(cfg, jobs=2)) == sequential
+    assert _verify_lines(cfg._replace(jobs=2)) == sequential
 
 
 def test_one_cell_sweep_runs_in_process(monkeypatch):
@@ -249,7 +250,7 @@ def test_one_cell_sweep_runs_in_process(monkeypatch):
     sequential = _verify_lines(cfg)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(cli, "_cpus", lambda: [None, None])
-    assert _verify_lines(dataclasses.replace(cfg, jobs=2)) == sequential
+    assert _verify_lines(cfg._replace(jobs=2)) == sequential
 
 
 @pytest.mark.parametrize(
@@ -322,7 +323,7 @@ def test_refused_pinning_leaves_the_pool_working(monkeypatch):
     sequential = _verify_lines(cfg)
     monkeypatch.setattr(cli.os, "sched_setaffinity", refuse, raising=False)
     monkeypatch.setattr(cli, "_cpus", lambda: [0, 0])  # each worker asks for a CPU
-    assert _verify_lines(dataclasses.replace(cfg, jobs=2)) == sequential
+    assert _verify_lines(cfg._replace(jobs=2)) == sequential
 
 
 def test_cold_pool_sweep_leaves_stderr_clean():
@@ -416,6 +417,13 @@ def test_console_entry_point():
     assert [r["params"]["i"] for r in records] == [0, 1]
 
 
+def _loaded_modules(statement: str) -> set[str]:
+    """The modules a fresh interpreter holds after running `statement`."""
+    probe = f"import sys; {statement}; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
 def test_import_leaves_the_pool_modules_unloaded():
     # Only a sweep with a process pool needs concurrent.futures.
     probe = "import sys, catb2.cli; print('concurrent.futures' in sys.modules)"
@@ -425,6 +433,11 @@ def test_import_leaves_the_pool_modules_unloaded():
         text=True,
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+    # A text sweep needs none of these, so a cold import must not load them;
+    # what the interpreter loads by itself (a site hook, say) does not count.
+    added = _loaded_modules("import catb2.cli") - _loaded_modules("pass")
+    unused = {"dataclasses", "inspect", "traceback", "json", "concurrent.futures", "multiprocessing"}
+    assert added & unused == set()
 
 
 def test_console_usage_error_exit_code():
@@ -589,6 +602,43 @@ def test_crashing_cell_reports_error_and_sweep_continues(broken_cell, capsys):
     assert captured.err.endswith("catb2: 7 passed, 0 failed, 0 skipped, 1 raised\n")
 
 
+# The theorem check raises on cell (1, 0) in a fresh interpreter, which has
+# loaded no traceback module before the check raises.
+_RAISING_SWEEP = """
+import sys
+from catb2 import checks, cli
+
+def check_theorem(i, m):
+    raise RuntimeError("boom")
+
+checks.check_theorem = check_theorem
+sys.exit(cli.main(["verify", "--i", "1", "--m", "0", "--checks", "theorem"]))
+"""
+
+
+def test_cold_crashing_cell_prints_its_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-c", _RAISING_SWEEP], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == "CHECK=theorem i=1 m=0 RESULT=ERROR ERROR=RuntimeError: boom\n"
+    assert proc.stderr.startswith("catb2: CHECK=theorem i=1 m=0 raised:\nTraceback")
+    assert proc.stderr.endswith("catb2: 0 passed, 0 failed, 0 skipped, 1 raised\n")
+
+
+def test_cold_basis_json_parses():
+    proc = subprocess.run(
+        [sys.executable, "-m", "catb2", "basis", "--m", "1", "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    out = io.StringIO()
+    assert cli.run_basis(1, "text", out) == 0
+    assert json.loads(proc.stdout) == dict(line.split("=", 1) for line in out.getvalue().splitlines())
+
+
 def test_crashing_cell_json_record(broken_cell):
     cfg = _cfg(checks=("theorem",), i_range=(1, 1), m_range=(0, 0), format="json")
     code, lines = _verify_lines(cfg)
@@ -610,7 +660,7 @@ def test_crashing_cell_under_pool_matches_sequential(broken_cell):
     sequential = _verify_lines(cfg)
     assert sequential[0] == 3
     assert "CHECK=theorem i=1 m=0 RESULT=ERROR" in sequential[1][3]
-    assert _verify_lines(dataclasses.replace(cfg, jobs=2)) == sequential
+    assert _verify_lines(cfg._replace(jobs=2)) == sequential
 
 
 @pytest.mark.skipif(
