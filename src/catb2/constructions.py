@@ -251,11 +251,14 @@ def halfint_tail(i: int, m: int, k: int, l: int) -> UniRatFunc:
     return halfint_term(i, m, k, l) + halfint_tail(i, m, k, l + 1)
 
 
+def halfint_quad(i: int, m: int, k: int) -> UniPoly:
+    """`recurrence_quad(i, m)` at x = -1/2-k: y^2 + (k+1/2)^2 - (i+m+1)^2 - i^2."""
+    return UniPoly({2: 1, 0: Fraction((2 * k + 1) ** 2 - 4 * ((i + m + 1) ** 2 + i * i), 4)})
+
+
 def halfint_combo(i: int, m: int, k: int, l: int) -> UniRatFunc:
-    """`recurrence_combo` of the half-integer tails U[a,b,k,l] = halfint_tail,
-    with the quad at x = -1/2-k: (k+1/2)^2 + y^2 - (i+m+1)^2 - i^2."""
-    quad = UniPoly({2: 1, 0: Fraction((2 * k + 1) ** 2 - 4 * ((i + m + 1) ** 2 + i * i), 4)})
-    return recurrence_combo(lambda a, b: halfint_tail(a, b, k, l), i, m, quad)
+    """`recurrence_combo` of the half-integer tails U[a,b,k,l] = halfint_tail."""
+    return recurrence_combo(lambda a, b: halfint_tail(a, b, k, l), i, m, halfint_quad(i, m, k))
 
 
 def halfint_closed(i: int, m: int, k: int, l: int) -> UniRatFunc:

@@ -22,7 +22,7 @@ import pytest
 
 from test_checks import MUTATIONS, mutated
 
-from catb2 import cli
+from catb2 import checks, cli
 from catb2.checks import CHECK_NAMES
 from catb2.poly import BiPoly
 from catb2.rational import clear_caches
@@ -60,7 +60,7 @@ def test_workload_report_matches_the_recorded_digest(name):
 M_0_8_JSON_DIGEST = "d5d60a7919759026058baad684bd625aea38efb8d832c46d8af4c411e3a3801e"
 
 
-def test_m_0_8_json_report_matches_the_recorded_digest():
+def _assert_m_0_8_json_recorded() -> None:
     cfg = cli.SweepConfig(
         i_range=(0, 4), m_range=(0, 8), k_extra=2, checks=CHECK_NAMES, format="json", jobs=1
     )
@@ -68,6 +68,10 @@ def test_m_0_8_json_report_matches_the_recorded_digest():
     out = io.StringIO()
     assert cli.run_verify(cfg, out) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == M_0_8_JSON_DIGEST
+
+
+def test_m_0_8_json_report_matches_the_recorded_digest():
+    _assert_m_0_8_json_recorded()
 
 
 # Each distinct perturbation of the mutation matrix once, then two more: one
@@ -112,3 +116,12 @@ def test_mutation_runs_report_the_recorded_witnesses():
 def test_mutation_runs_under_the_pool_report_the_recorded_witnesses(monkeypatch):
     monkeypatch.setattr(cli, "_cpus", lambda: [None, None])  # a pool even on one CPU
     _assert_recorded(_mutation_runs(jobs=2))
+
+
+def test_lemma3_deferring_every_task_to_the_full_route_changes_no_pinned_stream(monkeypatch):
+    # lemma3 decides k > m on numerators first; with that route always
+    # deferring, every task runs the cross-multiplied route, which builds
+    # every witness, and the streams pinned above with the route on hold
+    monkeypatch.setattr(checks, "_lemma3_on_numerators", lambda *a: False)
+    _assert_recorded(_mutation_runs(jobs=1))
+    _assert_m_0_8_json_recorded()
