@@ -22,7 +22,6 @@ from .constructions import (
     even_moment,
     halfint_closed,
     halfint_combo,
-    halfint_quad,
     halfint_tail,
     integral_poly,
     poly_from_coeffs,
@@ -126,47 +125,8 @@ def check_lemma2(a: int, b: int) -> CheckReport:
     return CheckReport(_witness(lhs - rhs, "z"))
 
 
-@_cached
-def _halfint_nesting(m: int, k: int) -> tuple[UniPoly, UniPoly, UniPoly] | None:
-    """(D[m,k], D[m+1,k], q) for k > m: D[m,k] = (y+k-m-1/2)_(2k-2m) is the
-    denominator of the half-integer values at (m, k), q = y^2 - (k-m-1/2)^2.
-    None unless D[m,k] = D[m+1,k]*q."""
-    n = 2 * (k - m)
-    den = ff_unipoly(Fraction(n - 1, 2), n)
-    den_up = ff_unipoly(Fraction(n - 3, 2), n - 2)
-    q = UniPoly({2: 1, 0: -Fraction(n - 1, 2) ** 2})
-    return (den, den_up, q) if den_up * q == den else None
-
-
-def _lemma3_on_numerators(i: int, m: int, k: int, l: int) -> bool:
-    """True if lemma3 holds at k > m, decided on numerators over D[m,k], the
-    (i-1, m+1) one times q; False (defer) if the nesting fails or a nonzero
-    value has another denominator.  Builds no witness."""
-    nesting = _halfint_nesting(m, k)
-    if nesting is None:
-        return False
-    den, den_up, q = nesting
-    cells = ((i + 1, m), (i, m), (i - 1, m + 1))
-    values = [*(halfint_tail(a, b, k, l) for a, b in cells), halfint_closed(i, m, k, l)]
-    if any(v.numer and v.denom != d for v, d in zip(values, (den, den, den_up, den))):
-        return False
-    after, here, before, closed = (v.numer for v in values)
-    numer = {(i + 1, m): after, (i, m): here, (i - 1, m + 1): before * q}
-    combo = recurrence_combo(lambda a, b: numer[a, b], i, m, halfint_quad(i, m, k))
-    return combo == closed
-
-
 def check_lemma3(i: int, m: int, k: int, l: int) -> CheckReport:
-    """Half-integer tail combination equals its closed form.
-
-    For k > m each tail and the closed form is a numerator over
-    D[m,k] = (y+k-m-1/2)_(2k-2m), the (i-1, m+1) tail over D[m+1,k], and
-    D[m,k] = D[m+1,k]*(y^2-(k-m-1/2)^2), so k > m is decided on numerators.
-    k <= m, where no value has a denominator, and a mismatch run the
-    cross-multiplied route, which alone builds the witness.
-    """
-    if k > m and _lemma3_on_numerators(i, m, k, l):
-        return CheckReport()
+    """Half-integer tail combination equals its closed form."""
     witness = _witness(halfint_combo(i, m, k, l).cross_diff(halfint_closed(i, m, k, l)), "y")
     return CheckReport(witness)
 

