@@ -72,7 +72,7 @@ def integral_poly(i: int, m: int) -> BiPoly:
     each t power via integral_0^x t^(2J) dt = x^(2J+1)/(2J+1).
     """
     p = _family_p(i, m)
-    acc = BiPoly.zero()
+    acc = BiPoly()
     for a in range(m + 1):
         for b in range(m + 1):
             sign = -1 if (2 * m - a - b) % 2 else 1
@@ -85,7 +85,7 @@ def integral_poly(i: int, m: int) -> BiPoly:
 def poly_from_coeffs(i: int, m: int) -> BiPoly:
     """f[i,m] assembled from its closed-form coefficients c[i,m,k]."""
     p = _family_p(i, m)
-    acc = BiPoly.zero()
+    acc = BiPoly()
     for k in range(m + 1):
         acc = acc + BiPoly.monomial(integral_poly_coeff(i, m, k), 2 * p - 2 * k + 1, 2 * k)
     return acc
@@ -95,7 +95,7 @@ def poly_from_coeffs(i: int, m: int) -> BiPoly:
 def deformed_poly(i: int, m: int) -> BiPoly:
     """The falling-factorial deformation ft[i,m](x, y)."""
     p = _family_p(i, m)
-    acc = BiPoly.zero()
+    acc = BiPoly()
     for k in range(m + 1):
         y = ff_unipoly(p - m, k) * ff_unipoly(m - p + k - 1, k) * integral_poly_coeff(i, m, k)
         acc = acc + ff_poly("x", p - k, 2 * p - 2 * k + 1) * y.as_bipoly("y")
@@ -124,7 +124,7 @@ def deformed_tail(i: int, m: int, l: int) -> BiPoly:
     if not 0 <= l <= m + 1:
         raise ValueError("l must satisfy 0 <= l <= m+1")
     if l == m + 1:
-        return BiPoly.zero()
+        return BiPoly()
     # Fill the shorter tails first, so that no call recurses more than one
     # level below this one, whatever m is.
     for u in range(m, l, -1):
@@ -172,7 +172,7 @@ def tail_closed(i: int, m: int, l: int) -> BiPoly:
         raise ValueError("l must satisfy 0 <= l <= m+1")
     b = binomial(m, l)
     if b == 0:
-        return BiPoly.zero()
+        return BiPoly()
     sign = -1 if l % 2 else 1
     scalar = sign * b * beta_half(l, i, m)
     quad = UniPoly({2: 1, 0: l * (2 * m + 2 * i + l + 2) - i * i})
@@ -250,7 +250,7 @@ def halfint_tail(i: int, m: int, k: int, l: int) -> UniRatFunc:
     if not 0 <= l <= k + 1:
         raise ValueError("l must satisfy 0 <= l <= k+1")
     if l == k + 1:
-        return UniRatFunc.zero()
+        return UniRatFunc(UniPoly())
     # Fill the shorter tails first, so that no call recurses more than one
     # level below this one, whatever k is.
     for t in range(k, l, -1):
@@ -304,7 +304,7 @@ def halfint_closed(i: int, m: int, k: int, l: int) -> UniRatFunc:
     if num == 0:
         # (m+l)_(m+1) = 0 at l = 0 and (k+l)_(2l) = 0 for l > k; stop before
         # the y factors, whose length k-l may be negative at l = k+1.
-        return UniRatFunc.zero()
+        return UniRatFunc(UniPoly())
     slope = 2 * (i + 3 * m + l + 2) + 1  # twice i+3m+l+5/2
     offset = (2 * (i + m + l) + 1) * (2 * (i + m - k) + 1) * (2 * (i + m + k + 1) + 1)
     brace = UniPoly({2: 4 * slope, 0: offset - 4 * i * i * slope})

@@ -145,8 +145,6 @@ class UniPoly(_IntPoly):
                 acc[e] = acc.get(e, 0) + n1 * n2
         return UniPoly._canon(acc, self.den * other.den)
 
-    __rmul__ = __mul__
-
     def as_bipoly(self, var: str) -> BiPoly:
         if var not in ("x", "y"):
             raise ValueError("var must be 'x' or 'y'")
@@ -166,10 +164,6 @@ class BiPoly(_IntPoly):
 
     __slots__ = ()
     _ORIGIN = (0, 0)
-
-    @classmethod
-    def zero(cls) -> BiPoly:
-        return cls()
 
     @classmethod
     def monomial(cls, c: RatLike, xe: int, ye: int) -> BiPoly:
@@ -243,12 +237,6 @@ class LinearForm:
             raise ValueError("linear form needs b in {-1, 0, 1}")
         self.b = b
         self.c = _as_rat(c)
-
-    def shifted(self, d: RatLike) -> LinearForm:
-        return LinearForm(self.b, self.c + _as_rat(d))
-
-    def as_poly(self) -> BiPoly:
-        return BiPoly({(1, 0): 1, (0, 1): self.b, (0, 0): self.c})
 
     def reduce_mod(self, p: BiPoly) -> UniPoly:
         """Remainder of p modulo this form, univariate in y.
@@ -330,7 +318,7 @@ def ff_linear_poly(form: LinearForm, shift: RatLike, k: int) -> BiPoly:
     shift = _as_rat(shift)
     out = BiPoly.const(1)
     for j in range(k):
-        out = out * form.shifted(shift - j).as_poly()
+        out = out * BiPoly({(1, 0): 1, (0, 1): form.b, (0, 0): form.c + shift - j})
     return out
 
 
@@ -356,17 +344,12 @@ def ff_unipoly(shift: RatLike, k: int) -> UniPoly:
 _UNIT = UniPoly.const(1)
 
 
-def _times(p: UniPoly, q: UniPoly) -> UniPoly:
-    """p*q, skipping the product when either factor is the shared `_UNIT`."""
-    return p if q is _UNIT else q if p is _UNIT else p * q
-
-
 class UniRatFunc:
     """Quotient of univariate polynomials, kept unreduced.
 
-    The denominator is never zero.  Equality is semantic (see
-    `cross_diff`), so representations need not match.  Products with the
-    shared `_UNIT` are skipped: p*1 is p, canonical already.
+    The denominator is never zero, and a zero value has the denominator
+    `_UNIT`.  Equality is semantic (see `cross_diff`), so representations
+    need not match.
     """
 
     __slots__ = ("numer", "denom")
@@ -379,10 +362,6 @@ class UniRatFunc:
         self.numer = numer
         self.denom = denom
 
-    @classmethod
-    def zero(cls) -> UniRatFunc:
-        return cls(UniPoly())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniRatFunc):
             return NotImplemented
@@ -393,14 +372,13 @@ class UniRatFunc:
         numer1*denom2 - numer2*denom1; zero iff the two values are equal."""
         if self.denom == other.denom:
             return self.numer - other.numer
-        return _times(self.numer, other.denom) - _times(other.numer, self.denom)
+        return self.numer * other.denom - other.numer * self.denom
 
     def __add__(self, other: UniRatFunc) -> UniRatFunc:
         if self.denom == other.denom:
             return UniRatFunc(self.numer + other.numer, self.denom)
         return UniRatFunc(
-            _times(self.numer, other.denom) + _times(other.numer, self.denom),
-            _times(self.denom, other.denom),
+            self.numer * other.denom + other.numer * self.denom, self.denom * other.denom
         )
 
     def __mul__(self, other: UniPoly | RatLike) -> UniRatFunc:

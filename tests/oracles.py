@@ -31,6 +31,11 @@ def divrem_linear(p: BiPoly, form: LinearForm) -> tuple[BiPoly, UniPoly]:
     return BiPoly(q_terms), UniPoly(rows.get(0, {}))
 
 
+def form_poly(form: LinearForm) -> BiPoly:
+    """The linear form x + b*y + c as a polynomial."""
+    return BiPoly({(1, 0): 1, (0, 1): form.b, (0, 0): form.c})
+
+
 def homogeneous_part(p: BiPoly, d: int) -> BiPoly:
     """The terms of p of total degree d."""
     return BiPoly({k: c for k, c in p.terms.items() if sum(k) == d})

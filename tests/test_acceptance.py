@@ -44,7 +44,7 @@ def test_criterion_01_expansion_oracle():
 def test_criterion_02_deformation_consistency():
     failures = []
     for i, m in GRID4:
-        total = BiPoly.zero()
+        total = BiPoly()
         for u in range(m + 1):
             total = total + cons.deformed_term(i, m, u)
         if total != cons.deformed_poly(i, m) * 2:
@@ -88,7 +88,7 @@ def test_criterion_05_tail_closed_form():
             for l in range(m + 2):
                 if not ck.check_lemma1(i, m, l).passed:
                     failures.append((i, m, l))
-            if cons.tail_closed(i, m, m + 1) != BiPoly.zero():
+            if cons.tail_closed(i, m, m + 1) != BiPoly():
                 failures.append((i, m, "forced zero"))
     _criterion(5, "tail combination equals closed form incl. l=m+1", failures)
 

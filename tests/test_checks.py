@@ -15,7 +15,7 @@ from catb2 import constructions as cons
 from catb2 import poly
 from catb2 import rational
 from catb2.checks import CHECK_NAMES, CheckReport
-from catb2.poly import X_FORM, XPY_FORM, BiPoly, first_remainder
+from catb2.poly import XPY_FORM, BiPoly, LinearForm, ff_unipoly, first_remainder
 from catb2.rational import beta_half, clear_caches
 
 
@@ -105,6 +105,20 @@ def test_prop3_pass():
             assert rep.data == {"A": expected, "B": expected}
 
 
+def test_prop3_targets_are_odd_about_their_lines():
+    """Each prop3 target t, for the line x+y+c = 0, has t(-y-c) = -t(y): the
+    remainder of t(x) modulo x+y+c is -t.  So on that line the congruence
+    with the remainder in y is the one in x with x = -y-c, and check_prop3
+    need not check it."""
+    for i in range(5):
+        for m in range(9):
+            length = 3 * m + 2 * i + 1
+            cases = ((m, 2 * m + i, Fraction(2 * m - 1, 2)), (-m, m + i, Fraction(-1, 2)))
+            for c, ff_shift, half_shift in cases:
+                t = ff_unipoly(ff_shift, length) * ff_unipoly(half_shift, m)
+                assert LinearForm(1, c).reduce_mod(t.as_bipoly("x")) == -t, (i, m, c)
+
+
 def test_prop3_fails_on_scaled_remainders(monkeypatch):
     """Every slope +-1 remainder tripled: both sides of each congruence scale
     alike, so only the closed form of A and B can catch it."""
@@ -171,7 +185,7 @@ def test_saito_zero_constant_has_nonzero_witness(monkeypatch, case):
     if case != "one-route":
         monkeypatch.setattr(ck, "saito_constant_integral", lambda m: Fraction(0))
     if case == "phi":
-        monkeypatch.setattr(ck, "saito_determinant", lambda m: BiPoly.zero())
+        monkeypatch.setattr(ck, "saito_determinant", lambda m: BiPoly())
     rep = ck.check_saito(1)
     expected = {
         "det": cons.saito_determinant(1),
@@ -214,7 +228,7 @@ def test_y_clause_of_membership_is_the_x_clause(poison):
         for m in range(3):
             f, g = cons.basis_derivation(i, m)
             for j in range(2 * m + 2):
-                rem = X_FORM.shifted(m - j).reduce_mod(f)
+                rem = LinearForm(0, m - j).reduce_mod(f)
                 assert g.subst_value("y", j - m) == rem
                 remainders.append(rem)
     assert any(remainders)

@@ -127,7 +127,7 @@ def test_deformed_term_rejects_u_outside_range():
 def test_deformed_term_sum_is_twice_the_deformation():
     for i in range(5):
         for m in range(5):
-            total = BiPoly.zero()
+            total = BiPoly()
             for u in range(m + 1):
                 total = total + deformed_term(i, m, u)
             assert total == deformed_poly(i, m) * 2, (i, m)
@@ -198,7 +198,7 @@ def test_telescope_cleared_sides_match_rational_oracle():
     """
     for a in range(7):
         for b in range(7):
-            lhs = UniRatFunc.zero()
+            lhs = UniRatFunc(UniPoly())
             for t in range(a, b + 1):
                 term = UniRatFunc(
                     UniPoly.const(falling_factorial(b + t, 2 * t)),
@@ -206,7 +206,7 @@ def test_telescope_cleared_sides_match_rational_oracle():
                 )
                 lhs = lhs + term
             if a > b:
-                rhs = UniRatFunc.zero()
+                rhs = UniRatFunc(UniPoly())
             else:
                 denom = ff_unipoly(b, 1) * ff_unipoly(a - 1, 2 * a)
                 denom = denom * ff_unipoly(-b - 1, 1)
@@ -278,7 +278,7 @@ def test_halfint_tail_is_the_left_to_right_sum_of_terms():
                 clear_caches()
                 halfint_tail(i, m, k, (k + 1) // 2)  # fills the shorter tails first
                 for l in range(k + 2):
-                    acc = UniRatFunc.zero()
+                    acc = UniRatFunc(UniPoly())
                     for t in range(l, k + 1):
                         acc = acc + halfint_term(i, m, k, t)
                     assert _parts(halfint_tail(i, m, k, l)) == _parts(acc), (i, m, k, l)

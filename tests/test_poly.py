@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catb2.poly import (
-    _UNIT,
     X_FORM,
     XMY_FORM,
     XPY_FORM,
@@ -24,7 +23,7 @@ from catb2.poly import (
     ff_unirat,
     first_remainder,
 )
-from oracles import divrem_linear, subst_affine
+from oracles import divrem_linear, form_poly, subst_affine
 
 X = BiPoly.monomial(1, 1, 0)
 Y = BiPoly.monomial(1, 0, 1)
@@ -66,7 +65,7 @@ def test_ff_poly_half_shift():
 
 
 def test_ff_linear_poly():
-    s = XPY_FORM.as_poly()
+    s = form_poly(XPY_FORM)
     assert ff_linear_poly(XPY_FORM, 0, 1) == s
     assert ff_linear_poly(XPY_FORM, 1, 3) == (s + BiPoly.const(1)) * s * (s - BiPoly.const(1))
     assert ff_linear_poly(XMY_FORM, 0, 1) == X - Y
@@ -123,9 +122,9 @@ def test_divrem_single_variable():
 @given(bipolys, forms, shifts)
 @settings(max_examples=60, deadline=None)
 def test_divrem_reconstruction(p, form, shift):
-    f = form.shifted(shift)
+    f = LinearForm(form.b, form.c + shift)
     q, r = divrem_linear(p, f)
-    assert q * f.as_poly() + r.as_bipoly("y") == p
+    assert q * form_poly(f) + r.as_bipoly("y") == p
 
 
 def test_divisible_by_falling_product_examples():
@@ -193,15 +192,14 @@ def _parts(r: UniRatFunc) -> tuple[UniPoly, UniPoly]:
     return r.numer, r.denom
 
 
-def test_unirat_unit_skips_match_plain_products():
-    """Sums, products and cross differences that skip the shared `_UNIT`
-    leave the same (numer, denom) as the plain products would; over an equal
-    denominator a cross difference is the difference of the numerators."""
+def test_unirat_arithmetic_matches_plain_products():
+    """Sums, products and cross differences leave the (numer, denom) of the
+    plain products; over an equal denominator a sum adds the numerators and a
+    cross difference is the difference of the numerators."""
     v = UniPoly({1: 1})
     one = UniPoly.const(1)
-    assert one == _UNIT and one is not _UNIT  # a unit that is not the shared one
-    numers = [UniPoly(), _UNIT, one, v + one, v * Fraction(2, 3), v * v - one * 4]
-    denoms = [_UNIT, one, v - one * Fraction(1, 2), v * v * 3 + one]
+    numers = [UniPoly(), one, v + one, v * Fraction(2, 3), v * v - one * 4]
+    denoms = [one, v - one * Fraction(1, 2), v * v * 3 + one]
     values = [UniRatFunc(n, d) for n in numers for d in denoms]
     for a, b in itertools.product(values, repeat=2):
         if a.denom == b.denom:
@@ -265,7 +263,7 @@ def test_first_remainder_is_the_first_nonzero_long_division(p, form, shift, coun
     p = p * ff_linear_poly(form, shift, vanish)
     expected = None
     for j in range(count):
-        rem = divrem_linear(p, form.shifted(shift - j))[1]
+        rem = divrem_linear(p, LinearForm(form.b, form.c + shift - j))[1]
         if rem:
             expected = rem
             break
@@ -321,9 +319,10 @@ def test_remainder_at_the_packing_bound(n):
     for form, (xe, ye) in itertools.product((XPY_FORM, XMY_FORM), exponents):
         p = BiPoly.monomial(n, xe, ye)
         for c in [Fraction(0)] if xe else [Fraction(0), Fraction(-5, 2), Fraction(7)]:
-            expected = divrem_linear(p, form.shifted(c))[1]
+            shifted = LinearForm(form.b, form.c + c)
+            expected = divrem_linear(p, shifted)[1]
             assert expected.num == {xe + ye: n * (-form.b) ** xe}
-            assert form.shifted(c).reduce_mod(p) == expected, (form, xe, ye, c)
+            assert shifted.reduce_mod(p) == expected, (form, xe, ye, c)
             assert first_remainder(p, form, c, 1) == expected, (form, xe, ye, c)
 
 
@@ -454,7 +453,7 @@ def test_constant_substitution_edges(name, value):
     p = CONSTANT_SUBST_POLYS[name]
     got = p.subst_value("x", value)
     assert _is_canonical(got), (got.num, got.den)
-    assert got == divrem_linear(p, X_FORM.shifted(-value))[1]
+    assert got == divrem_linear(p, LinearForm(0, -value))[1]
     got = p.subst_value("y", value)
     assert _is_canonical(got), (got.num, got.den)
     naive: dict = {}
