@@ -36,7 +36,6 @@ from .constructions import (
 )
 from .poly import (
     BiPoly,
-    LinearForm,
     UniPoly,
     UniRatFunc,
     XMY_FORM,
@@ -142,7 +141,7 @@ def check_prop1(i: int, m: int) -> CheckReport:
 
 def check_prop2(i: int, m: int, k: int) -> CheckReport:
     """2*ft[i,m](-1/2-k, y) equals the half-integer evaluation series."""
-    lhs = deformed_poly(i, m).subst_value("x", Fraction(-(2 * k + 1), 2)) * 2
+    lhs = deformed_poly(i, m).subst_value(Fraction(-(2 * k + 1), 2)) * 2
     witness = _witness(UniRatFunc(lhs).cross_diff(halfint_tail(i, m, k, 0)), "y")
     return CheckReport(witness)
 
@@ -164,15 +163,12 @@ def check_prop3(i: int, m: int) -> CheckReport:
     const = 2 * even_moment(i, 2 * m)
     length = 3 * m + 2 * i + 1
 
-    cases = (
-        # (form, x shift, half shift)
-        (LinearForm(1, m), 2 * m + i, Fraction(2 * m - 1, 2)),
-        (LinearForm(1, -m), m + i, Fraction(-1, 2)),
-    )
-    for form, ff_shift, half_shift in cases:
+    # (c of x+y+c, x shift, half shift)
+    cases = ((m, 2 * m + i, Fraction(2 * m - 1, 2)), (-m, m + i, Fraction(-1, 2)))
+    for c, ff_shift, half_shift in cases:
         rhs = ff_unipoly(ff_shift, length) * ff_unipoly(half_shift, m) * const
         # reduce_mod eliminates x, so the swap leaves the remainder in x
-        in_x = form.reduce_mod(swapped) - rhs
+        in_x = XPY_FORM.reduce_mod(swapped, c) - rhs
         if in_x:
             return CheckReport(in_x.to_text("x"))
     return CheckReport(data={"A": str(const), "B": str(const)})
@@ -232,15 +228,18 @@ def check_membership(i: int, m: int) -> CheckReport:
 
     its images theta(x) = f, theta(y) = g, theta(x+y) = f+g and
     theta(x-y) = f-g are each divisible by the full shifted product of that
-    hyperplane family.  The x clause also covers theta(y): g = f.swap(), so
-    g modulo y+m-j is f modulo x+m-j.  The x+y clause is the scan theorem
-    shares.  Every remainder is left in y.
+    hyperplane family.  All rests on g = f.swap(), as basis_derivation
+    builds it.  The x clause covers theta(y): g modulo y+m-j is f modulo
+    x+m-j.  The x+y clause is the scan theorem shares.  The x-y clause scans
+    x-y+c for c = m..1: h = f-g is antisymmetric, so R_c(y) = h(y-c, y) has
+    R_0 = 0 and R_{-c}(y-c) = -R_c(y), and the first nonzero R_c of the
+    scan c = m..-m lies there.  Every remainder is left in y.
     """
     f, g = basis_derivation(i, m)
     rem = (
         first_remainder(f, X_FORM, m, 2 * m + 1)
         or _symmetric_remainder(i, m)
-        or first_remainder(f - g, XMY_FORM, m, 2 * m + 1)
+        or first_remainder(f - g, XMY_FORM, m, m)
     )
     return CheckReport(_witness(rem, "y"))
 

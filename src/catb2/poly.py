@@ -14,8 +14,8 @@ A UniPoly or BiPoly is stored as integer numerators over one positive
 denominator with the common factor removed (`num`, `den`; the
 content/primitive-part form), so all arithmetic and the falling-factorial
 builders run in Python integers.  Every root substitution (`reduce_mod`,
-`subst_value`, `first_remainder`) is one packed integer Horner loop,
-`_subst_roots`.  Fraction is the coefficient type at every interface:
+`subst_value`, `first_remainder`) eliminates x in one packed integer Horner
+loop, `_subst_roots`.  Fraction is the coefficient type at every interface:
 constructors take Fraction or int values, and `.terms` is a Fraction view
 built on first use for text and tests.
 
@@ -203,11 +203,9 @@ class BiPoly(_IntPoly):
         e = 0 if var == "x" else 1
         return BiPoly._raw({k: -n if k[e] & 1 else n for k, n in self.num.items()}, self.den)
 
-    def subst_value(self, var: str, value: RatLike) -> UniPoly:
-        """Substitute a constant for var; the result lives in the other variable."""
-        if var not in ("x", "y"):
-            raise ValueError("var must be 'x' or 'y'")
-        return next(_subst_roots(self, var, 0, [_as_rat(value)]))
+    def subst_value(self, value: RatLike) -> UniPoly:
+        """p at x = value, a polynomial in y."""
+        return next(_subst_roots(self, 0, [value]))
 
     def to_text(self) -> str:
         if not self.num:
@@ -228,53 +226,48 @@ class BiPoly(_IntPoly):
 
 
 class LinearForm:
-    """Hyperplane-style linear form x + b*y + c with b in {-1, 0, 1}."""
+    """The slope b in {-1, 0, 1} of the hyperplanes x + b*y + c, c an argument."""
 
-    __slots__ = ("b", "c")
+    __slots__ = ("b",)
 
-    def __init__(self, b: int, c: RatLike = 0):
+    def __init__(self, b: int):
         if b not in (-1, 0, 1):
             raise ValueError("linear form needs b in {-1, 0, 1}")
         self.b = b
-        self.c = _as_rat(c)
 
-    def reduce_mod(self, p: BiPoly) -> UniPoly:
-        """Remainder of p modulo this form, univariate in y.
-
-        x + b*y + c = 0 gives x = -b*y - c; substitute it.
-        """
-        return next(_subst_roots(p, "x", -self.b, [-self.c]))
+    def reduce_mod(self, p: BiPoly, c: RatLike) -> UniPoly:
+        """Remainder of p modulo x + b*y + c, univariate in y: p at x = -b*y - c."""
+        return next(_subst_roots(p, -self.b, [-c]))
 
     def __repr__(self) -> str:
-        return f"LinearForm({self.b}, {self.c!r})"
+        return f"LinearForm({self.b})"
 
 
-def _subst_roots(p: BiPoly, var: str, slope: int, values: list[Fraction]) -> Iterator[UniPoly]:
-    """p with var replaced by slope*v + value, v the other variable, for
-    each value in turn.  In integers, with p = num / den and value = vn/vd,
+def _subst_roots(p: BiPoly, slope: int, values: list[RatLike]) -> Iterator[UniPoly]:
+    """p with x replaced by slope*y + value, for each value in turn.  In
+    integers, with p = num / den and value = vn/vd,
 
-        den * vd^top * result = sum_e (slope*vd*v + vn)^e * vd^(top-e) * num_e(v),
+        den * vd^top * result = sum_e (slope*vd*y + vn)^e * vd^(top-e) * num_e(y),
 
-    num_e(v) the row of var^e.  The rows are packed once per batch as the
+    num_e(y) the row of x^e.  The rows are packed once per batch as the
     integers num_e(2^B) (Kronecker substitution), Horner's rule over them
-    gives the right side at v = 2^B in a few big-int operations per row, and
+    gives the right side at y = 2^B in a few big-int operations per row, and
     its coefficients R_k are the signed base-2^B digits of that value if
-    every |R_k| < 2^(B-1).  The coefficients of (slope*vd*v + vn)^e sum to
+    every |R_k| < 2^(B-1).  The coefficients of (slope*vd*y + vn)^e sum to
     at most (vd + |vn|)^e in absolute value (slope is 0 or +-1), so with
     S_e = sum_k |n_(e,k)|, |R_k| <= sum_e S_e * (vd + |vn|)^e * vd^(top-e);
     B is one more than the bit length of that sum with vd + |vn| and vd at
     their largest in the batch.
     """
-    elim = 0 if var == "x" else 1
-    top = max((key[elim] for key in p.num), default=0)
+    top = max((xe for xe, _ in p.num), default=0)
     sizes, rows = [0] * (top + 1), [0] * (top + 1)
-    for key, n in p.num.items():
-        sizes[key[elim]] += abs(n)
+    for (xe, _), n in p.num.items():
+        sizes[xe] += abs(n)
     reach = max((v.denominator + abs(v.numerator) for v in values), default=1)
     vd_max = max((v.denominator for v in values), default=1)
     bits = sum(s * reach**e * vd_max ** (top - e) for e, s in enumerate(sizes)).bit_length() + 1
-    for key, n in p.num.items():
-        rows[key[elim]] += n << (key[1 - elim] * bits)
+    for (xe, ye), n in p.num.items():
+        rows[xe] += n << (ye * bits)
     mask, half = (1 << bits) - 1, 1 << (bits - 1)
     for value in values:
         vn, vd = value.numerator, value.denominator
@@ -300,9 +293,9 @@ XMY_FORM = LinearForm(-1)
 
 
 def first_remainder(p: BiPoly, form: LinearForm, shift: RatLike, count: int) -> UniPoly | None:
-    """First nonzero remainder of p modulo form+shift-j, j = 0..count-1."""
-    roots = [-(form.c + shift - j) for j in range(count)]
-    return next(filter(None, _subst_roots(p, "x", -form.b, roots)), None)
+    """First nonzero remainder of p modulo x + form.b*y + shift - j, j = 0..count-1."""
+    roots = [j - shift for j in range(count)]
+    return next(filter(None, _subst_roots(p, -form.b, roots)), None)
 
 
 @_cached
@@ -312,13 +305,12 @@ def ff_poly(var: str, shift: RatLike, k: int) -> BiPoly:
 
 
 def ff_linear_poly(form: LinearForm, shift: RatLike, k: int) -> BiPoly:
-    """Falling-factorial product prod_{j=0}^{k-1} (form + shift - j), k >= 0."""
+    """Falling-factorial product prod_{j=0}^{k-1} (x + form.b*y + shift - j), k >= 0."""
     if k < 0:
         raise ValueError("negative length")
-    shift = _as_rat(shift)
     out = BiPoly.const(1)
     for j in range(k):
-        out = out * BiPoly({(1, 0): 1, (0, 1): form.b, (0, 0): form.c + shift - j})
+        out = out * BiPoly({(1, 0): 1, (0, 1): form.b, (0, 0): shift - j})
     return out
 
 

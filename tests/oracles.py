@@ -10,10 +10,10 @@ from fractions import Fraction
 from catb2.poly import BiPoly, LinearForm, UniPoly
 
 
-def divrem_linear(p: BiPoly, form: LinearForm) -> tuple[BiPoly, UniPoly]:
-    """Exact division with remainder by a linear form: p = q*form + r.
+def divrem_linear(p: BiPoly, form: LinearForm, shift) -> tuple[BiPoly, UniPoly]:
+    """Exact division with remainder: p = q*(x + b*y + shift) + r, b = form.b.
 
-    r is p with x replaced by the root expression of the form, hence
+    r is p with x replaced by the root expression -b*y - shift, hence
     univariate in y; q and r are unique.
     """
     rows: dict[int, dict[int, Fraction]] = {}
@@ -26,14 +26,14 @@ def divrem_linear(p: BiPoly, form: LinearForm) -> tuple[BiPoly, UniPoly]:
         lower = rows.setdefault(e - 1, {})
         for k, c in rows.pop(e, {}).items():
             q_terms[(e - 1, k)] = c
-            for ke, rc in ((k + 1, form.b), (k, form.c)):
+            for ke, rc in ((k + 1, form.b), (k, shift)):
                 lower[ke] = lower.get(ke, 0) - c * rc
     return BiPoly(q_terms), UniPoly(rows.get(0, {}))
 
 
-def form_poly(form: LinearForm) -> BiPoly:
-    """The linear form x + b*y + c as a polynomial."""
-    return BiPoly({(1, 0): 1, (0, 1): form.b, (0, 0): form.c})
+def form_poly(form: LinearForm, shift) -> BiPoly:
+    """The linear form x + form.b*y + shift as a polynomial."""
+    return BiPoly({(1, 0): 1, (0, 1): form.b, (0, 0): shift})
 
 
 def homogeneous_part(p: BiPoly, d: int) -> BiPoly:

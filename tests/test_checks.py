@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import subst_affine
+from oracles import divrem_linear, subst_affine
 from textform import parse
 
 from catb2 import checks as ck
@@ -15,7 +15,16 @@ from catb2 import constructions as cons
 from catb2 import poly
 from catb2 import rational
 from catb2.checks import CHECK_NAMES, CheckReport
-from catb2.poly import XPY_FORM, BiPoly, LinearForm, ff_unipoly, first_remainder
+from catb2.poly import (
+    X_FORM,
+    XMY_FORM,
+    XPY_FORM,
+    BiPoly,
+    ff_linear_poly,
+    ff_poly,
+    ff_unipoly,
+    first_remainder,
+)
 from catb2.rational import beta_half, clear_caches
 
 
@@ -116,7 +125,7 @@ def test_prop3_targets_are_odd_about_their_lines():
             cases = ((m, 2 * m + i, Fraction(2 * m - 1, 2)), (-m, m + i, Fraction(-1, 2)))
             for c, ff_shift, half_shift in cases:
                 t = ff_unipoly(ff_shift, length) * ff_unipoly(half_shift, m)
-                assert LinearForm(1, c).reduce_mod(t.as_bipoly("x")) == -t, (i, m, c)
+                assert XPY_FORM.reduce_mod(t.as_bipoly("x"), c) == -t, (i, m, c)
 
 
 def test_prop3_fails_on_scaled_remainders(monkeypatch):
@@ -124,8 +133,8 @@ def test_prop3_fails_on_scaled_remainders(monkeypatch):
     alike, so only the closed form of A and B can catch it."""
     original = poly._subst_roots
 
-    def tripled(p, var, slope, values):
-        for remainder in original(p, var, slope, values):
+    def tripled(p, slope, values):
+        for remainder in original(p, slope, values):
             yield remainder * 3 if slope in (1, -1) else remainder
 
     cfg = cli.SweepConfig(
@@ -228,10 +237,53 @@ def test_y_clause_of_membership_is_the_x_clause(poison):
         for m in range(3):
             f, g = cons.basis_derivation(i, m)
             for j in range(2 * m + 2):
-                rem = LinearForm(0, m - j).reduce_mod(f)
-                assert g.subst_value("y", j - m) == rem
+                rem = X_FORM.reduce_mod(f, m - j)
+                # g at y = j-m, a polynomial in x, by the Fraction oracle
+                assert subst_affine(g, "y", 0, "y", j - m) == rem.as_bipoly("x")
                 remainders.append(rem)
     assert any(remainders)
+
+
+def test_xmy_remainders_of_membership_pair_up_about_zero(poison):
+    # membership scans theta(x-y) = h = f-g modulo x-y+c for c = m..1 only:
+    # h(y,x) = -h(x,y), so R_c(y) = h(y-c, y) has R_0 = 0 and
+    # R_{-c}(y-c) = -R_c(y).  Poisoned as membership's matrix row; c = m+1
+    # leaves the family, so nonzero remainders compare too.
+    poison((1, 2, 1), Fraction(1, 7))
+    remainders = []
+    for i in range(3):
+        for m in range(3):
+            f, g = cons.basis_derivation(i, m)
+            h = f - g
+            assert not XMY_FORM.reduce_mod(h, 0), (i, m)
+            for c in range(1, m + 2):
+                rem = XMY_FORM.reduce_mod(h, c)
+                mirror = XMY_FORM.reduce_mod(h, -c).as_bipoly("y")
+                assert subst_affine(mirror, "y", 1, "y", -c) == -rem.as_bipoly("y"), (i, m, c)
+                remainders.append(rem)
+    assert any(remainders)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_xmy_clause_of_membership_scans_the_shifts_one_to_m(monkeypatch, m):
+    # f = P(x) P(y) P(x+y) r, P the full shifted product of a family and r
+    # antisymmetric, passes the x and y clauses, and f+g = 0.  f-g = 2 P P P r
+    # has the remainders of r on x-y+c: r = (x-y) prod_{c<n} ((x-y)^2-c^2)
+    # makes c = m the first nonzero one for n = m and none for n = m+1.
+    d = BiPoly.monomial(1, 1, 0) - BiPoly.monomial(1, 0, 1)
+    f = ff_poly("x", m, 2 * m + 1) * ff_poly("y", m, 2 * m + 1) * d
+    f = f * ff_linear_poly(XPY_FORM, m, 2 * m + 1)
+    for c in range(1, m):
+        f = f * (d * d - BiPoly.const(c * c))
+    witness = divrem_linear(f - f.swap(), XMY_FORM, m)[1].to_text("y")
+    cases = ((f, witness), (f * (d * d - BiPoly.const(m * m)), None))
+    try:
+        for p, expected in cases:
+            monkeypatch.setattr(ck, "basis_derivation", lambda i, m, p=p: (p, p.swap()))
+            clear_caches()
+            assert ck.check_membership(0, m).witness == expected
+    finally:
+        clear_caches()
 
 
 def test_shared_remainder_scan_is_dropped_by_clear_caches():
@@ -405,7 +457,7 @@ KERNEL_FAULTS = {
     # remainder is zero, so they pass under this fault; prop2 and prop3
     # compare a remainder with a value built without it
     "_subst_roots": (
-        lambda v, p, var, slope, values: (poly.UniPoly() for _ in values),
+        lambda v, p, slope, values: (poly.UniPoly() for _ in values),
         {"prop2", "prop3"},
         1,
     ),
@@ -462,7 +514,7 @@ def test_halfint_quad_is_the_recurrence_quad_at_the_half_integer(monkeypatch):
                 quads.clear()
                 cons.halfint_combo(i, m, k, k + 1)
                 x = Fraction(-(2 * k + 1), 2)
-                expected = cons.recurrence_quad(i, m).subst_value("x", x)
+                expected = cons.recurrence_quad(i, m).subst_value(x)
                 assert quads == [expected], (i, m, k)
 
 
@@ -483,7 +535,7 @@ def test_lemma3_combo_shares_the_closed_form_denominator_for_every_k_above_m():
     assert all(ck.check_lemma3(**params).passed for params in tasks)
 
 
-def test_a_broken_denominator_nesting_defers_to_the_cross_multiplied_route():
+def test_a_broken_denominator_nesting_fails_every_lemma3_tail_but_the_last():
     # doubling D[0,2] = (y+3/2)_4 breaks D[0,2] = D[1,2]*(y^2-9/4); the tails
     # over D[0,2] and the closed form double their denominators consistently,
     # the (0, 1) tail written over D[1,2]*(y^2-9/4) is then off that
@@ -494,7 +546,7 @@ def test_a_broken_denominator_nesting_defers_to_the_cross_multiplied_route():
     assert [f["result"] for f in fields] == ["FAIL", "FAIL", "FAIL", "PASS"]
 
 
-def test_a_tail_off_the_shared_denominator_defers_to_the_cross_multiplied_route():
+def test_a_tail_off_the_shared_denominator_fails_lemma3():
     # the same numerator over 2*D[0,2] is another value, so lemma3 must fail
     halve = ("halfint_tail", (2, 0, 2, 1), lambda v, *a: poly.UniRatFunc(v.numer, v.denom * 2))
     with mutated(*halve):

@@ -65,7 +65,7 @@ def test_ff_poly_half_shift():
 
 
 def test_ff_linear_poly():
-    s = form_poly(XPY_FORM)
+    s = form_poly(XPY_FORM, 0)
     assert ff_linear_poly(XPY_FORM, 0, 1) == s
     assert ff_linear_poly(XPY_FORM, 1, 3) == (s + BiPoly.const(1)) * s * (s - BiPoly.const(1))
     assert ff_linear_poly(XMY_FORM, 0, 1) == X - Y
@@ -103,18 +103,18 @@ def test_sign_flip_rejects_an_unknown_variable():
 
 
 def test_subst_value():
-    got = (X * X * Y).subst_value("x", Fraction(-1, 2))
+    got = (X * X * Y).subst_value(Fraction(-1, 2))
     assert got == UniPoly({1: Fraction(1, 4)})
 
 
 def test_divrem_difference_of_squares():
-    q, r = divrem_linear(X * X - Y * Y, XPY_FORM)
+    q, r = divrem_linear(X * X - Y * Y, XPY_FORM, 0)
     assert q == X - Y
     assert not r
 
 
 def test_divrem_single_variable():
-    q, r = divrem_linear(X, XPY_FORM)
+    q, r = divrem_linear(X, XPY_FORM, 0)
     assert q == BiPoly.const(1)
     assert r == UniPoly({1: -1})  # -y
 
@@ -122,9 +122,8 @@ def test_divrem_single_variable():
 @given(bipolys, forms, shifts)
 @settings(max_examples=60, deadline=None)
 def test_divrem_reconstruction(p, form, shift):
-    f = LinearForm(form.b, form.c + shift)
-    q, r = divrem_linear(p, f)
-    assert q * form_poly(f) + r.as_bipoly("y") == p
+    q, r = divrem_linear(p, form, shift)
+    assert q * form_poly(form, shift) + r.as_bipoly("y") == p
 
 
 def test_divisible_by_falling_product_examples():
@@ -154,7 +153,7 @@ def test_substitution_is_a_homomorphism(p, q):
 def test_unipoly_degree_and_eval():
     p = ff_unipoly(1, 3)  # (v+1)v(v-1)
     assert max(p.num) == 3
-    assert p.as_bipoly("x").subst_value("x", 2) == UniPoly.const(6)
+    assert p.as_bipoly("x").subst_value(2) == UniPoly.const(6)
     assert not UniPoly().num
 
 
@@ -220,14 +219,14 @@ def test_linear_form_validation():
     with pytest.raises(ValueError):
         LinearForm(2)
     with pytest.raises(ValueError):
-        LinearForm(-2, 1)
+        LinearForm(-2)
     with pytest.raises(ValueError):
-        LinearForm(Fraction(1, 2), 0)
+        LinearForm(Fraction(1, 2))
 
 
 def test_linear_form_reduce_mod():
     # x + y - 1 = 0: substitute x = 1 - y into x^2
-    rem = LinearForm(1, -1).reduce_mod(X * X)
+    rem = XPY_FORM.reduce_mod(X * X, -1)
     assert rem == UniPoly({2: 1, 1: -2, 0: 1})
 
 
@@ -239,10 +238,10 @@ def _is_clean(p) -> bool:
 @given(bipolys, y_coefs, form_shifts)
 @settings(max_examples=150, deadline=None)
 def test_reduce_mod_matches_independent_routes(p, b, c):
-    form = LinearForm(b, c)
-    rem = form.reduce_mod(p)
+    form = LinearForm(b)
+    rem = form.reduce_mod(p, c)
     assert _is_clean(rem)
-    assert rem == divrem_linear(p, form)[1]  # long division
+    assert rem == divrem_linear(p, form, c)[1]  # long division
     if b:  # x = -b*y - c through the power-rebuilding substitution
         assert rem.as_bipoly("y") == subst_affine(p, "x", -b, "y", -c)
 
@@ -263,7 +262,7 @@ def test_first_remainder_is_the_first_nonzero_long_division(p, form, shift, coun
     p = p * ff_linear_poly(form, shift, vanish)
     expected = None
     for j in range(count):
-        rem = divrem_linear(p, LinearForm(form.b, form.c + shift - j))[1]
+        rem = divrem_linear(p, form, shift - j)[1]
         if rem:
             expected = rem
             break
@@ -301,7 +300,22 @@ def test_slope_zero_batches_match_fraction_evaluation(p, shift, count, vanish):
     assert first_remainder(p, X_FORM, shift, count) == expected
     # The same batch with the root 0 added and mixed denominators, every root read.
     roots += [Fraction(0), Fraction(count)]
-    assert list(_subst_roots(p, "x", 0, roots)) == [_naive_at_x(p, r) for r in roots]
+    assert list(_subst_roots(p, 0, roots)) == [_naive_at_x(p, r) for r in roots]
+
+
+@given(bipolys, st.integers(0, 4), st.integers(0, 4))
+@example(X - Y, 2, 0)  # h = 2(x-y) leaves -2c: the first nonzero remainder at c = 2
+@example(X * X * Y - Y * Y * X, 3, 3)  # (x-y)^2 - c^2 zeroes c = +-1..+-3
+@settings(max_examples=100, deadline=None)
+def test_antisymmetric_xmy_scan_is_decided_by_its_positive_shifts(p, s, vanish):
+    # h(y,x) = -h(x,y) gives R_0 = 0 and R_{-c}(y-c) = -R_c(y) for R_c the
+    # remainder modulo x-y+c, so the scan c = s..1 finds the witness of the
+    # scan c = s..-s.  The symmetric factors (x-y)^2 - c^2 keep h
+    # antisymmetric and zero the remainders at c = +-s..+-(s-vanish+1).
+    h = p - p.swap()
+    for c in range(max(s - vanish, 0) + 1, s + 1):
+        h = h * ((X - Y) * (X - Y) - BiPoly.const(c * c))
+    assert first_remainder(h, XMY_FORM, s, s) == first_remainder(h, XMY_FORM, s, 2 * s + 1)
 
 
 def test_first_remainder_of_an_empty_scan_is_none():
@@ -319,10 +333,9 @@ def test_remainder_at_the_packing_bound(n):
     for form, (xe, ye) in itertools.product((XPY_FORM, XMY_FORM), exponents):
         p = BiPoly.monomial(n, xe, ye)
         for c in [Fraction(0)] if xe else [Fraction(0), Fraction(-5, 2), Fraction(7)]:
-            shifted = LinearForm(form.b, form.c + c)
-            expected = divrem_linear(p, shifted)[1]
+            expected = divrem_linear(p, form, c)[1]
             assert expected.num == {xe + ye: n * (-form.b) ** xe}
-            assert shifted.reduce_mod(p) == expected, (form, xe, ye, c)
+            assert form.reduce_mod(p, c) == expected, (form, xe, ye, c)
             assert first_remainder(p, form, c, 1) == expected, (form, xe, ye, c)
 
 
@@ -427,13 +440,14 @@ def test_unipoly_operations_stay_canonical(p, q, c):
 @given(bipolys, y_coefs, form_shifts, st.sampled_from(["x", "y"]), form_shifts)
 @settings(max_examples=100, deadline=None)
 def test_substitutions_stay_canonical(p, b, c, var, value):
-    form = LinearForm(b, c)
-    _checked(form.reduce_mod(p), divrem_linear(p, form)[1].terms)
+    form = LinearForm(b)
+    _checked(form.reduce_mod(p, c), divrem_linear(p, form, c)[1].terms)
     naive: dict = {}
     for (xe, ye), v in p.terms.items():
         e, keep = (xe, ye) if var == "x" else (ye, xe)
         naive[keep] = naive.get(keep, Fraction(0)) + v * value**e
-    _checked(p.subst_value(var, value), {k: v for k, v in naive.items() if v})
+    at_x = p if var == "x" else p.swap()  # subst_value eliminates x
+    _checked(at_x.subst_value(value), {k: v for k, v in naive.items() if v})
     _checked(p.subst_affine(var), subst_affine(p, var, -1, var).terms)
 
 
@@ -451,10 +465,10 @@ CONSTANT_SUBST_POLYS = {
 def test_constant_substitution_edges(name, value):
     # value 0 makes vn = 0 in the Horner step; the x^0 terms must survive it.
     p = CONSTANT_SUBST_POLYS[name]
-    got = p.subst_value("x", value)
+    got = p.subst_value(value)
     assert _is_canonical(got), (got.num, got.den)
-    assert got == divrem_linear(p, LinearForm(0, -value))[1]
-    got = p.subst_value("y", value)
+    assert got == divrem_linear(p, X_FORM, -value)[1]
+    got = p.swap().subst_value(value)
     assert _is_canonical(got), (got.num, got.den)
     naive: dict = {}
     for (xe, ye), c in p.terms.items():
