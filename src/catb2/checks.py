@@ -111,7 +111,7 @@ def check_expansion(i: int, m: int) -> CheckReport:
 
 def check_ftilde_forms(i: int, m: int) -> CheckReport:
     """Twice the deformation equals the sum of its expansion summands."""
-    return CheckReport(_witness(deformed_poly(i, m) * 2 - deformed_tail(i, m, 0)))
+    return CheckReport(_witness(deformed_poly(i, m) * 2 - deformed_tail(i, m)[0]))
 
 
 def check_lemma1(i: int, m: int, l: int) -> CheckReport:
@@ -142,7 +142,7 @@ def check_prop1(i: int, m: int) -> CheckReport:
 def check_prop2(i: int, m: int, k: int) -> CheckReport:
     """2*ft[i,m](-1/2-k, y) equals the half-integer evaluation series."""
     lhs = deformed_poly(i, m).subst_value(Fraction(-(2 * k + 1), 2)) * 2
-    witness = _witness(UniRatFunc(lhs).cross_diff(halfint_tail(i, m, k, 0)), "y")
+    witness = _witness(UniRatFunc(lhs).cross_diff(halfint_tail(i, m, k)[0]), "y")
     return CheckReport(witness)
 
 

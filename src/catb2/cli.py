@@ -331,7 +331,3 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -118,18 +118,13 @@ def deformed_term(i: int, m: int, u: int) -> BiPoly:
 
 
 @_cached
-def deformed_tail(i: int, m: int, l: int) -> BiPoly:
-    """Partial sum of expansion summands u = l..m (zero when l = m+1),
-    built as the suffix sum deformed_term(l) + deformed_tail(l+1)."""
-    if not 0 <= l <= m + 1:
-        raise ValueError("l must satisfy 0 <= l <= m+1")
-    if l == m + 1:
-        return BiPoly()
-    # Fill the shorter tails first, so that no call recurses more than one
-    # level below this one, whatever m is.
-    for u in range(m, l, -1):
-        deformed_tail(i, m, u)
-    return deformed_term(i, m, l) + deformed_tail(i, m, l + 1)
+def deformed_tail(i: int, m: int) -> tuple[BiPoly, ...]:
+    """Expansion tails: entry l = 0..m+1 sums the summands u = l..m (the last
+    entry is zero), built right to left as deformed_term(l) + entry l+1."""
+    tails = [BiPoly()] * (m + 2)
+    for l in range(m, -1, -1):
+        tails[l] = deformed_term(i, m, l) + tails[l + 1]
+    return tuple(tails)
 
 
 def recurrence_quad(i: int, m: int) -> BiPoly:
@@ -156,10 +151,12 @@ def recurrence_combo(
 
 
 def tail_combo(i: int, m: int, l: int) -> BiPoly:
-    """`recurrence_combo` of the expansion tails S[a,b,l+b-m] = deformed_tail;
+    """`recurrence_combo` of the expansion tails S[a,b,l+b-m] = deformed_tail(a,b)[l+b-m];
     `tail_closed` gives its closed form."""
+    if not 0 <= l <= m + 1:
+        raise ValueError("l must satisfy 0 <= l <= m+1")
     quad = recurrence_quad(i, m)
-    return recurrence_combo(lambda a, b: deformed_tail(a, b, l + b - m), i, m, quad)
+    return recurrence_combo(lambda a, b: deformed_tail(a, b)[l + b - m], i, m, quad)
 
 
 def tail_closed(i: int, m: int, l: int) -> BiPoly:
@@ -244,18 +241,13 @@ def _halfint_nest(n: int) -> UniPoly:
 
 
 @_cached
-def halfint_tail(i: int, m: int, k: int, l: int) -> UniRatFunc:
-    """Partial sum of half-integer summands t = l..k (zero when l = k+1),
-    built as the suffix sum halfint_term(l) + halfint_tail(l+1)."""
-    if not 0 <= l <= k + 1:
-        raise ValueError("l must satisfy 0 <= l <= k+1")
-    if l == k + 1:
-        return UniRatFunc(UniPoly())
-    # Fill the shorter tails first, so that no call recurses more than one
-    # level below this one, whatever k is.
-    for t in range(k, l, -1):
-        halfint_tail(i, m, k, t)
-    return halfint_term(i, m, k, l) + halfint_tail(i, m, k, l + 1)
+def halfint_tail(i: int, m: int, k: int) -> tuple[UniRatFunc, ...]:
+    """Half-integer tails: entry l = 0..k+1 sums the summands t = l..k (the last
+    entry is zero), built right to left as halfint_term(l) + entry l+1."""
+    tails = [UniRatFunc(UniPoly())] * (k + 2)
+    for l in range(k, -1, -1):
+        tails[l] = halfint_term(i, m, k, l) + tails[l + 1]
+    return tuple(tails)
 
 
 def halfint_quad(i: int, m: int, k: int) -> UniPoly:
@@ -264,7 +256,7 @@ def halfint_quad(i: int, m: int, k: int) -> UniPoly:
 
 
 def halfint_combo(i: int, m: int, k: int, l: int) -> UniRatFunc:
-    """`recurrence_combo` of the half-integer tails U[a,b,k,l] = halfint_tail.
+    """`recurrence_combo` of the half-integer tails U[a,b,k,l] = halfint_tail(a,b,k)[l].
 
     For k > m the tails at (m, k) lie over D[m,k] and the one at (m+1, k)
     over D[m+1,k] = D[m,k]/q, q = `_halfint_nest(k-m)`.  That tail is written
@@ -272,9 +264,11 @@ def halfint_combo(i: int, m: int, k: int, l: int) -> UniRatFunc:
     difference with `halfint_closed`) adds numerators over one denominator;
     values off it are cross-multiplied as usual.
     """
+    if not 0 <= l <= k + 1:
+        raise ValueError("l must satisfy 0 <= l <= k+1")
 
     def tail(a: int, b: int) -> UniRatFunc:
-        u = halfint_tail(a, b, k, l)
+        u = halfint_tail(a, b, k)[l]
         if b == m or k <= m:
             return u
         q = _halfint_nest(k - m)

@@ -548,6 +548,9 @@ def test_a_broken_denominator_nesting_fails_every_lemma3_tail_but_the_last():
 
 def test_a_tail_off_the_shared_denominator_fails_lemma3():
     # the same numerator over 2*D[0,2] is another value, so lemma3 must fail
-    halve = ("halfint_tail", (2, 0, 2, 1), lambda v, *a: poly.UniRatFunc(v.numer, v.denom * 2))
+    def halve_tail_1(v, *a):
+        return (v[0], poly.UniRatFunc(v[1].numer, v[1].denom * 2), *v[2:])
+
+    halve = ("halfint_tail", (2, 0, 2), halve_tail_1)
     with mutated(*halve):
         assert _lemma3_fields(1, 0, 2, 1)["result"] == "FAIL"

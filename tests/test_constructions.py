@@ -18,6 +18,7 @@ from catb2.constructions import (
     deformed_term,
     even_moment,
     halfint_closed,
+    halfint_combo,
     halfint_tail,
     halfint_term,
     integral_poly,
@@ -134,11 +135,14 @@ def test_deformed_term_sum_is_twice_the_deformation():
 
 
 def test_deformed_tail_boundaries():
-    assert not deformed_tail(3, 2, 3)  # l = m+1 is the empty tail
-    assert deformed_tail(0, 0, 0) == X * 2
-    assert deformed_tail(0, 1, 1) == deformed_term(0, 1, 1)
-    with pytest.raises(ValueError):
-        deformed_tail(0, 1, 3)
+    tails = deformed_tail(3, 2)
+    assert len(tails) == 4 and not tails[3]  # l = 0..m+1; l = m+1 is the empty tail
+    assert deformed_tail(0, 0) == (X * 2, BiPoly())
+    assert deformed_tail(0, 1)[1] == deformed_term(0, 1, 1)
+    # a bare tuple index would read l = -1 as the empty tail
+    for l in (-1, 3):
+        with pytest.raises(ValueError, match="l must satisfy"):
+            tail_combo(1, 1, l)
 
 
 def test_tail_combo_vanishes_at_top_index():
@@ -245,10 +249,12 @@ def test_halfint_term_rejects_t_above_k():
 
 
 def test_halfint_tail_boundaries():
-    assert not halfint_tail(2, 1, 3, 4).numer  # l = k+1
-    assert halfint_tail(0, 0, 0, 0) == UniRatFunc(UniPoly.const(-1))
-    with pytest.raises(ValueError):
-        halfint_tail(0, 0, 1, 3)
+    tails = halfint_tail(2, 1, 3)
+    assert len(tails) == 5 and not tails[4].numer  # l = 0..k+1; l = k+1 is empty
+    assert halfint_tail(0, 0, 0) == (UniRatFunc(UniPoly.const(-1)), UniRatFunc(UniPoly()))
+    for l in (-1, 3):
+        with pytest.raises(ValueError, match="l must satisfy"):
+            halfint_combo(1, 0, 1, l)
 
 
 def test_halfint_tail_m_zero_constant_value():
@@ -258,7 +264,7 @@ def test_halfint_tail_m_zero_constant_value():
             expected = UniPoly.const(
                 -falling_factorial(_half(i + k), 2 * i + 1) / _half(i)
             )
-            assert halfint_tail(i, 0, k, 0) == UniRatFunc(expected), (i, k)
+            assert halfint_tail(i, 0, k)[0] == UniRatFunc(expected), (i, k)
 
 
 def _parts(r: UniRatFunc) -> tuple[UniPoly, UniPoly]:
@@ -276,12 +282,11 @@ def test_halfint_tail_is_the_left_to_right_sum_of_terms():
         for m in range(3):
             for k in range(m + 4):
                 clear_caches()
-                halfint_tail(i, m, k, (k + 1) // 2)  # fills the shorter tails first
                 for l in range(k + 2):
                     acc = UniRatFunc(UniPoly())
                     for t in range(l, k + 1):
                         acc = acc + halfint_term(i, m, k, t)
-                    assert _parts(halfint_tail(i, m, k, l)) == _parts(acc), (i, m, k, l)
+                    assert _parts(halfint_tail(i, m, k)[l]) == _parts(acc), (i, m, k, l)
 
 
 def test_halfint_term_and_closed_form_scale_the_same_y_factor():
@@ -326,10 +331,10 @@ def test_halfint_tail_depth_does_not_grow_with_k():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + headroom)
     try:
-        tail = halfint_tail(0, 0, k, 0)
+        tails = halfint_tail(0, 0, k)
     finally:
         sys.setrecursionlimit(limit)
-    assert tail == halfint_tail(0, 0, k, 1) + halfint_term(0, 0, k, 0)
+    assert tails[0] == tails[1] + halfint_term(0, 0, k, 0)
 
 
 def test_defining_poly_base():
@@ -478,7 +483,7 @@ def test_tails_and_closed_forms_match_their_definitions_pointwise():
             clear_caches()
             for l in range(m + 2):
                 _assert_equal_on_grid(
-                    deformed_tail(i, m, l),
+                    deformed_tail(i, m)[l],
                     lambda x, y: sum(_summand(i, m, u, x, y) for u in range(l, m + 1)),
                     4 * m + 2 * i + 1,
                     2 * max(m - l, 0),
@@ -545,7 +550,7 @@ def test_integral_poly_matches_sympy_integrate():
 
 
 def test_clear_caches_drops_the_deformed_tail():
-    deformed_tail(1, 2, 0)
+    deformed_tail(1, 2)
     assert cons.deformed_tail.cache_info().currsize > 0
     clear_caches()
     assert cons.deformed_tail.cache_info().currsize == 0
@@ -559,7 +564,7 @@ def test_deformed_tail_depth_does_not_grow_with_m(monkeypatch):
     monkeypatch.setattr(cons, "deformed_term", lambda i, m, u: one)
     clear_caches()
     try:
-        assert deformed_tail(0, 5000, 0) == BiPoly.const(5001)
+        assert deformed_tail(0, 5000)[0] == BiPoly.const(5001)
     finally:
         clear_caches()
 
@@ -567,7 +572,7 @@ def test_deformed_tail_depth_does_not_grow_with_m(monkeypatch):
 def test_a_perturbed_summand_moves_exactly_the_tails_that_contain_it(monkeypatch):
     i, m = 1, 3
     clear_caches()
-    plain = [deformed_tail(i, m, l) for l in range(m + 2)]
+    plain = deformed_tail(i, m)
     original = cons.deformed_term
     bump = BiPoly.monomial(Fraction(1, 7), 0, 1)
     try:
@@ -578,7 +583,7 @@ def test_a_perturbed_summand_moves_exactly_the_tails_that_contain_it(monkeypatch
 
             monkeypatch.setattr(cons, "deformed_term", perturbed)
             clear_caches()
-            tails = [deformed_tail(i, m, l) for l in range(m + 2)]
+            tails = deformed_tail(i, m)
             assert [t != p for t, p in zip(tails, plain)] == [l <= u for l in range(m + 2)], u
     finally:
         clear_caches()
