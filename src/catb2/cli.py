@@ -230,7 +230,9 @@ def run_verify(cfg: SweepConfig, out: IO[str] | None = None) -> int:
             results = _pool_results(stack, tasks, groups, cpus[: len(groups)])
         for task, (fields, data) in zip(tasks, results):
             counts[fields["result"]] += 1
-            print(_format_line(task, fields, data, cfg.format), file=out)
+            # One write per line: on an unbuffered stream, print's second
+            # write (of "\n") is a system call of its own.
+            out.write(_format_line(task, fields, data, cfg.format) + "\n")
     raised = f", {counts['ERROR']} raised" if counts["ERROR"] else ""
     print(
         f"catb2: {counts['PASS']} passed, {counts['FAIL']} failed, "

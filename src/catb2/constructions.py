@@ -75,7 +75,7 @@ def integral_poly(i: int, m: int) -> BiPoly:
     acc = BiPoly()
     for a in range(m + 1):
         for b in range(m + 1):
-            sign = -1 if (2 * m - a - b) % 2 else 1
+            sign = -1 if (a + b) % 2 else 1
             c = Fraction(sign * binomial(m, a) * binomial(m, b), 2 * (i + a + b) + 1)
             acc = acc + BiPoly.monomial(c, 2 * (m - a) + 2 * (i + a + b) + 1, 2 * (m - b))
     assert acc.degree() == 2 * p + 1
@@ -234,10 +234,13 @@ def _halfint_y_factor(m: int, k: int, t: int) -> UniRatFunc:
 
 
 @_cached
-def _halfint_nest(n: int) -> UniPoly:
-    """y^2 - (n-1/2)^2: for n = k-m >= 1 the denominators (y+n-1/2)_(2n) of the
-    half-integer values at (m, k) nest as D[m,k] = D[m+1,k] * this."""
-    return UniPoly({2: 1, 0: -Fraction(2 * n - 1, 2) ** 2})
+def _halfint_nest(n: int) -> tuple[UniPoly, UniPoly, UniPoly]:
+    """(q, D[m+1,k], D[m+1,k]*q) for n = k-m >= 1: the denominators
+    D[m,k] = (y+n-1/2)_(2n) of the half-integer values at (m, k) nest as
+    D[m,k] = D[m+1,k]*q, with q = y^2 - (n-1/2)^2."""
+    q = UniPoly({2: 1, 0: -Fraction(2 * n - 1, 2) ** 2})
+    below = ff_unipoly(Fraction(2 * n - 3, 2), 2 * n - 2)
+    return q, below, below * q
 
 
 @_cached
@@ -250,6 +253,7 @@ def halfint_tail(i: int, m: int, k: int) -> tuple[UniRatFunc, ...]:
     return tuple(tails)
 
 
+@_cached
 def halfint_quad(i: int, m: int, k: int) -> UniPoly:
     """`recurrence_quad(i, m)` at x = -1/2-k: y^2 + (k+1/2)^2 - (i+m+1)^2 - i^2."""
     return UniPoly({2: 1, 0: Fraction((2 * k + 1) ** 2 - 4 * ((i + m + 1) ** 2 + i * i), 4)})
@@ -259,10 +263,10 @@ def halfint_combo(i: int, m: int, k: int, l: int) -> UniRatFunc:
     """`recurrence_combo` of the half-integer tails U[a,b,k,l] = halfint_tail(a,b,k)[l].
 
     For k > m the tails at (m, k) lie over D[m,k] and the one at (m+1, k)
-    over D[m+1,k] = D[m,k]/q, q = `_halfint_nest(k-m)`.  That tail is written
-    over D[m+1,k]*q, the same value, so every sum in the combination (and its
-    difference with `halfint_closed`) adds numerators over one denominator;
-    values off it are cross-multiplied as usual.
+    over D[m+1,k] = D[m,k]/q, q from `_halfint_nest(k-m)`.  That tail is
+    written over D[m+1,k]*q, the same value, so every sum in the combination
+    (and its difference with `halfint_closed`) adds numerators over one
+    denominator; values off it are cross-multiplied as usual.
     """
     if not 0 <= l <= k + 1:
         raise ValueError("l must satisfy 0 <= l <= k+1")
@@ -271,8 +275,8 @@ def halfint_combo(i: int, m: int, k: int, l: int) -> UniRatFunc:
         u = halfint_tail(a, b, k)[l]
         if b == m or k <= m:
             return u
-        q = _halfint_nest(k - m)
-        return UniRatFunc(u.numer * q, u.denom * q)
+        q, below, shared = _halfint_nest(k - m)
+        return UniRatFunc(u.numer * q, shared if u.denom == below else u.denom * q)
 
     return recurrence_combo(tail, i, m, halfint_quad(i, m, k))
 

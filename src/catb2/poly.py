@@ -55,13 +55,17 @@ class _IntPoly:
     __slots__ = ("num", "den", "_terms")
 
     def __init__(self, terms: Mapping | None = None):
-        fracs = {k: _as_rat(c) for k, c in (terms or {}).items() if c}
-        if any((min(k) if isinstance(k, tuple) else k) < 0 for k in fracs):
+        values = {k: c for k, c in (terms or {}).items() if c}
+        if any((min(k) if isinstance(k, tuple) else k) < 0 for k in values):
             raise ValueError("negative exponent")
+        self._terms = None
+        if all(type(c) is int for c in values.values()):
+            self.num, self.den = values, 1
+            return
+        fracs = {k: _as_rat(c) for k, c in values.items()}
         # Canonical already: no prime of the LCM divides every numerator.
         self.den = math.lcm(*[c.denominator for c in fracs.values()])
         self.num = {k: c.numerator * (self.den // c.denominator) for k, c in fracs.items()}
-        self._terms = None
 
     @classmethod
     def _raw(cls, num: dict, den: int):
@@ -73,11 +77,16 @@ class _IntPoly:
     @classmethod
     def _canon(cls, num: dict, den: int):
         """A cls equal to num / den (den > 0): zeros dropped, gcd divided out."""
-        num = {k: n for k, n in num.items() if n}
-        g = math.gcd(den, *num.values())
-        if g != 1:
-            den //= g
-            num = {k: n // g for k, n in num.items()}
+        return cls._reduced({k: n for k, n in num.items() if n}, den)
+
+    @classmethod
+    def _reduced(cls, num: dict, den: int):
+        """A cls equal to num / den (den > 0, no zero value): gcd divided out."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {k: n // g for k, n in num.items()}
         return cls._raw(num, den)
 
     @classmethod
@@ -112,8 +121,11 @@ class _IntPoly:
             left, scale = other.den // g, self.den // g * sign
             acc, den = {k: n * left for k, n in self.num.items()}, self.den * left
         for k, n in other.num.items():
-            acc[k] = acc.get(k, 0) + n * scale
-        return self._canon(acc, den)
+            if total := acc.get(k, 0) + n * scale:
+                acc[k] = total
+            else:  # n is nonzero, so k was in acc
+                del acc[k]
+        return self._reduced(acc, den)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -122,9 +134,15 @@ class _IntPoly:
         return self._combine(other, -1)
 
     def _scaled(self, c: RatLike):
-        c = _as_rat(c)
-        scaled = {k: n * c.numerator for k, n in self.num.items()}
-        return self._canon(scaled, self.den * c.denominator)
+        a, b = (c, 1) if type(c) is int else _as_rat(c).as_integer_ratio()
+        if not a:
+            return self._raw({}, 1)
+        # gcd(den, content) = gcd(a, b) = 1, so a*num / (b*den) shares gcd(a, den)*gcd(b, content).
+        ga = math.gcd(a, self.den)
+        gb = math.gcd(b, *self.num.values()) if b != 1 else 1
+        num = self.num if gb == 1 else {k: n // gb for k, n in self.num.items()}
+        a //= ga
+        return self._raw({k: n * a for k, n in num.items()}, b // gb * (self.den // ga))
 
 
 class UniPoly(_IntPoly):
@@ -176,7 +194,12 @@ class BiPoly(_IntPoly):
     def __mul__(self, other: BiPoly | RatLike) -> BiPoly:
         if not isinstance(other, BiPoly):
             return self._scaled(other)
-        a, b = (self.num, other.num) if len(self.num) <= len(other.num) else (other.num, self.num)
+        a, b = (other.num, self.num) if any(ye for _, ye in self.num) else (self.num, other.num)
+        if not any(ye for _, ye in a) and not any(xe for xe, _ in b):
+            # x-only times y-only: each product has its own key, and none is zero.
+            acc = {(xe, ye): n1 * n2 for (xe, _), n1 in a.items() for (_, ye), n2 in b.items()}
+            return BiPoly._reduced(acc, self.den * other.den)
+        a, b = (a, b) if len(a) <= len(b) else (b, a)
         acc: dict[Monomial, int] = {}
         for (x1, y1), n1 in a.items():
             for (x2, y2), n2 in b.items():
@@ -260,6 +283,8 @@ def _subst_roots(p: BiPoly, slope: int, values: list[RatLike]) -> Iterator[UniPo
     their largest in the batch.
     """
     top = max((xe for xe, _ in p.num), default=0)
+    # At most the remainder's y-degree, as x becomes slope*y + value.
+    degree = max((ye + xe * abs(slope) for xe, ye in p.num), default=0)
     sizes, rows = [0] * (top + 1), [0] * (top + 1)
     for (xe, _), n in p.num.items():
         sizes[xe] += abs(n)
@@ -268,18 +293,26 @@ def _subst_roots(p: BiPoly, slope: int, values: list[RatLike]) -> Iterator[UniPo
     bits = sum(s * reach**e * vd_max ** (top - e) for e, s in enumerate(sizes)).bit_length() + 1
     for (xe, ye), n in p.num.items():
         rows[xe] += n << (ye * bits)
-    mask, half = (1 << bits) - 1, 1 << (bits - 1)
     for value in values:
         vn, vd = value.numerator, value.denominator
         lead, acc, scale = slope * vd, 0, 1
         for row in reversed(rows):
             acc = (acc * lead << bits) + acc * vn + row * scale
             scale *= vd
-        out, k = {}, 0
-        while acc:  # the lowest signed digit, in [-half, half), then the rest
-            out[k] = digit = ((acc + half) & mask) - half
-            acc, k = (acc - digit) >> bits, k + 1
-        yield UniPoly._canon(out, p.den * vd**top)
+        yield UniPoly._canon(_signed_digits(acc, bits, degree + 1), p.den * vd**top)
+
+
+def _signed_digits(acc: int, bits: int, count: int) -> dict[int, int]:
+    """The signed base-2^bits digits of acc, lowest first, each in
+    [-2^(bits-1), 2^(bits-1)); ArithmeticError if it needs more than count."""
+    out, k = {}, 0
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    while acc and k < count:  # the lowest signed digit, then the rest
+        out[k] = digit = ((acc + half) & mask) - half
+        acc, k = (acc - digit) >> bits, k + 1
+    if acc:
+        raise ArithmeticError("packed remainder has more digits than its degree allows")
+    return out
 
 
 def _times_linear(acc: list[int], lead: int, const: int) -> list[int]:

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -554,3 +555,40 @@ def test_a_tail_off_the_shared_denominator_fails_lemma3():
     halve = ("halfint_tail", (2, 0, 2), halve_tail_1)
     with mutated(*halve):
         assert _lemma3_fields(1, 0, 2, 1)["result"] == "FAIL"
+
+
+@pytest.mark.parametrize("numer, result", [(1, "FAIL"), (2, "PASS")], ids=["halved", "same-value"])
+def test_a_nested_tail_off_its_denominator_is_multiplied_by_q(numer, result):
+    # the (0, 1) tail of lemma3 at (1, 0, 2, 1) rewritten over 2*D[1,2]: with
+    # its numerator kept it is another value, with it doubled the same one,
+    # which only multiplying that tail by q (not the shared D[1,2]*q) keeps
+    def over_twice_the_denominator(v, *a):
+        return (v[0], poly.UniRatFunc(v[1].numer * numer, v[1].denom * 2), *v[2:])
+
+    with mutated("halfint_tail", (0, 1, 2), over_twice_the_denominator):
+        assert _lemma3_fields(1, 0, 2, 1)["result"] == result
+
+
+def test_every_nested_tail_on_the_halfint_grid_lies_over_the_shared_denominator():
+    # the benchmark's halfint-k grid: every (m+1, k) tail that lemma3 reads
+    # for k > m lies over D[m+1,k], so it takes the precomputed D[m+1,k]*q,
+    # which is D[m,k]; none is a product of its own
+    for i, m in itertools.product(range(4), range(5)):
+        for k in range(m + 1, m + 7):
+            q, below, shared = cons._halfint_nest(k - m)
+            assert shared == below * q == cons.halfint_tail(i, m, k)[0].denom, (i, m, k)
+            assert all(u.denom == below for u in cons.halfint_tail(i, m + 1, k)[: k + 1]), (i, m, k)
+
+
+def test_a_remainder_wider_than_its_degree_is_a_harness_error(monkeypatch):
+    # one digit fewer than the remainder's degree allows: the decode raises,
+    # the cells report ERROR and the sweep exits 3 instead of running away
+    original = poly._signed_digits
+    monkeypatch.setattr(poly, "_signed_digits", lambda acc, bits, n: original(acc, bits, n - 1))
+    cfg = cli.SweepConfig(
+        i_range=(0, 1), m_range=(0, 1), k_extra=1, checks=("prop2",), format="text", jobs=1
+    )
+    out = io.StringIO()
+    assert cli.run_verify(cfg, out) == 3
+    lines = out.getvalue().splitlines()
+    assert lines and all("RESULT=ERROR ERROR=ArithmeticError" in line for line in lines)

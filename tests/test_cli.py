@@ -72,6 +72,26 @@ def test_verify_text_report_grid():
     assert all(line.endswith("RESULT=PASS") for line in lines)
 
 
+class _CountingOut(io.StringIO):
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_each_report_line_is_one_write(fmt):
+    # an unbuffered stdout makes every write a system call
+    out = _CountingOut()
+    cfg = _cfg(i_range=(0, 2), m_range=(0, 2), checks=("theorem", "lemma3"), format=fmt)
+    assert run_verify(cfg, out=out) == 0
+    lines = out.getvalue().splitlines()
+    assert len(lines) > 9 and out.writes == len(lines)
+
+
 def test_verify_skip_lines():
     code, lines = _verify_lines(_cfg(checks=("prop1",), i_range=(0, 1), m_range=(0, 0)))
     assert code == 0  # skips do not fail the run

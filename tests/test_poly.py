@@ -16,6 +16,7 @@ from catb2.poly import (
     LinearForm,
     UniPoly,
     UniRatFunc,
+    _signed_digits,
     _subst_roots,
     ff_linear_poly,
     ff_poly,
@@ -501,3 +502,86 @@ def test_terms_view_is_built_once_and_only_on_demand():
     assert p._terms is None
     assert p.terms is p.terms
     assert p.num == {(3, 1): 8, (2, 1): -12, (1, 1): -2, (0, 1): 3} and p.den == 8
+
+
+# ------------------------------- fast paths --------------------------------
+
+# 0 and +-1, ints of any size, and Fractions of any size (integral ones too).
+any_scalars = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(0), Fraction(1), Fraction(-1), Fraction(6)]),
+    st.integers(-(10**30), 10**30),
+    st.fractions(max_denominator=10**12),
+)
+int_terms = st.dictionaries(monomials, st.integers(-(10**20), 10**20), max_size=6)
+x_only = st.dictionaries(st.integers(0, 6), coefs, max_size=5).map(
+    lambda d: BiPoly({(e, 0): c for e, c in d.items()})
+)
+y_only = x_only.map(BiPoly.swap)
+same_kind_pairs = st.one_of(st.tuples(bipolys, bipolys), st.tuples(unipolys, unipolys))
+
+
+@given(st.one_of(bipolys, unipolys), any_scalars)
+# 3/4 x + 3/2 times 2/3: a shares 2 with den 4 and b shares 3 with content 3
+@example(BiPoly({(1, 0): Fraction(3, 4), (0, 0): Fraction(3, 2)}), Fraction(2, 3))
+@example(UniPoly({2: Fraction(5, 6)}), -12)
+@example(BiPoly(), Fraction(-7, 3))
+@settings(max_examples=150, deadline=None)
+def test_scaling_matches_the_termwise_product(p, c):
+    got = p * c
+    assert got == type(p)({k: v * c for k, v in p.terms.items()})
+    assert _is_canonical(got), (got.num, got.den)
+
+
+@given(int_terms)
+@settings(max_examples=100, deadline=None)
+def test_all_int_constructor_matches_the_fraction_constructor(terms):
+    got = BiPoly(terms)
+    assert got == BiPoly({k: Fraction(v) for k, v in terms.items()})
+    assert _is_canonical(got) and got.den == 1
+    uni = {xe + ye: v for (xe, ye), v in terms.items()}
+    assert UniPoly(uni) == UniPoly({k: Fraction(v) for k, v in uni.items()})
+    terms[(9, 9)] = 1  # the value keeps no reference to the caller's dict
+    assert (9, 9) not in got.num
+
+
+@pytest.mark.parametrize("terms", [{(-1, 0): 1}, {(1, 1): 2, (0, -2): 3}, {-1: 4}, {2: 1, -3: 1}])
+def test_all_int_constructor_rejects_negative_exponents(terms):
+    with pytest.raises(ValueError, match="negative exponent"):
+        (BiPoly if isinstance(next(iter(terms)), tuple) else UniPoly)(terms)
+
+
+@given(same_kind_pairs)
+@example((X * Fraction(1, 2), X * Fraction(1, 2)))  # equal denominators that cancel
+@example((X * 3 + Y, Y * 5))
+@settings(max_examples=100, deadline=None)
+def test_sums_with_cancelling_keys_stay_canonical(pair):
+    p, r = pair
+    q = r - p  # p + q cancels every key of p that r lacks
+    _checked(p + q, r.terms)
+    _checked(q - r, (-p).terms)
+    _checked(p - p, {})
+    assert (p - p).den == 1
+
+
+@given(x_only, y_only)
+@example(BiPoly.const(Fraction(2, 3)), Y * Fraction(3, 2))
+@example(BiPoly(), Y)
+@settings(max_examples=100, deadline=None)
+def test_outer_products_match_the_general_product(xp, yp):
+    _checked(xp * yp, _naive_product(xp, yp))
+    _checked(yp * xp, _naive_product(yp, xp))
+
+
+def test_zero_has_degree_minus_one():
+    assert BiPoly().degree() == -1
+    assert BiPoly.const(3).degree() == 0
+
+
+def test_signed_digits_stop_at_the_count():
+    acc = 3 - (5 << 8) + (2 << 16)  # the base-2^8 digits 3, -5, 2
+    assert _signed_digits(acc, 8, 3) == {0: 3, 1: -5, 2: 2}
+    assert _signed_digits(-acc, 8, 5) == {0: -3, 1: 5, 2: -2}
+    assert _signed_digits(0, 8, 0) == {}
+    for wide in (acc, -acc, 1 << 40, -(1 << 40)):
+        with pytest.raises(ArithmeticError):
+            _signed_digits(wide, 8, 2)
