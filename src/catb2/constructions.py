@@ -253,7 +253,6 @@ def halfint_tail(i: int, m: int, k: int) -> tuple[UniRatFunc, ...]:
     return tuple(tails)
 
 
-@_cached
 def halfint_quad(i: int, m: int, k: int) -> UniPoly:
     """`recurrence_quad(i, m)` at x = -1/2-k: y^2 + (k+1/2)^2 - (i+m+1)^2 - i^2."""
     return UniPoly({2: 1, 0: Fraction((2 * k + 1) ** 2 - 4 * ((i + m + 1) ** 2 + i * i), 4)})

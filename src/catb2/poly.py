@@ -55,17 +55,13 @@ class _IntPoly:
     __slots__ = ("num", "den", "_terms")
 
     def __init__(self, terms: Mapping | None = None):
-        values = {k: c for k, c in (terms or {}).items() if c}
-        if any((min(k) if isinstance(k, tuple) else k) < 0 for k in values):
+        fracs = {k: _as_rat(c) for k, c in (terms or {}).items() if c}
+        if any((min(k) if isinstance(k, tuple) else k) < 0 for k in fracs):
             raise ValueError("negative exponent")
-        self._terms = None
-        if all(type(c) is int for c in values.values()):
-            self.num, self.den = values, 1
-            return
-        fracs = {k: _as_rat(c) for k, c in values.items()}
         # Canonical already: no prime of the LCM divides every numerator.
         self.den = math.lcm(*[c.denominator for c in fracs.values()])
         self.num = {k: c.numerator * (self.den // c.denominator) for k, c in fracs.items()}
+        self._terms = None
 
     @classmethod
     def _raw(cls, num: dict, den: int):
@@ -194,12 +190,7 @@ class BiPoly(_IntPoly):
     def __mul__(self, other: BiPoly | RatLike) -> BiPoly:
         if not isinstance(other, BiPoly):
             return self._scaled(other)
-        a, b = (other.num, self.num) if any(ye for _, ye in self.num) else (self.num, other.num)
-        if not any(ye for _, ye in a) and not any(xe for xe, _ in b):
-            # x-only times y-only: each product has its own key, and none is zero.
-            acc = {(xe, ye): n1 * n2 for (xe, _), n1 in a.items() for (_, ye), n2 in b.items()}
-            return BiPoly._reduced(acc, self.den * other.den)
-        a, b = (a, b) if len(a) <= len(b) else (b, a)
+        a, b = (self.num, other.num) if len(self.num) <= len(other.num) else (other.num, self.num)
         acc: dict[Monomial, int] = {}
         for (x1, y1), n1 in a.items():
             for (x2, y2), n2 in b.items():
