@@ -295,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     pb = sub.add_parser("basis", help="print the basis polynomials and constants")
-    pb.add_argument("--m", type=int, required=True)
+    pb.add_argument("--m", type=int, required=True, help="one m, not a LO..HI range as in verify")
     pb.add_argument("--format", choices=("text", "json"), default="text")
 
     args = parser.parse_args(argv)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable
 
 from .poly import (
@@ -117,14 +118,17 @@ def deformed_term(i: int, m: int, u: int) -> BiPoly:
     return ff_poly("x", m + i + u, 2 * m + 2 * i + 2 * u + 1) * y.as_bipoly("y")
 
 
+def _suffix_sums(summands: list, zero: object) -> tuple:
+    """Entry l = 0..n sums summands[l:] and entry n+1 is `zero`, built leftwards
+    from the last summand as summands[l] + entry l+1, so no sum adds the zero."""
+    tails = accumulate(reversed(summands), lambda tail, term: term + tail)
+    return (*reversed(list(tails)), zero)
+
+
 @_cached
 def deformed_tail(i: int, m: int) -> tuple[BiPoly, ...]:
-    """Expansion tails: entry l = 0..m+1 sums the summands u = l..m (the last
-    entry is zero), built right to left as deformed_term(l) + entry l+1."""
-    tails = [BiPoly()] * (m + 2)
-    for l in range(m, -1, -1):
-        tails[l] = deformed_term(i, m, l) + tails[l + 1]
-    return tuple(tails)
+    """Expansion tails: entry l = 0..m+1 sums the summands u = l..m."""
+    return _suffix_sums([deformed_term(i, m, u) for u in range(m + 1)], BiPoly())
 
 
 def recurrence_quad(i: int, m: int) -> BiPoly:
@@ -160,13 +164,11 @@ def tail_combo(i: int, m: int, l: int) -> BiPoly:
 
 
 def tail_closed(i: int, m: int, l: int) -> BiPoly:
-    """Closed form of `tail_combo`; zero at l = m+1 because binom(m, m+1) = 0.
+    """Closed form of `tail_combo`; zero for l outside 0..m, where binom(m, l) = 0.
 
     binom(m,l) (-1)^l B(l+i+1/2, m+1) {y^2 + l(2m+2i+l+2) - i^2}
     (x+m+i+l)_(2m+2i+2l+1) (y+m+i)_(m-l) (y-i-l-1)_(m-l).
     """
-    if not 0 <= l <= m + 1:
-        raise ValueError("l must satisfy 0 <= l <= m+1")
     b = binomial(m, l)
     if b == 0:
         return BiPoly()
@@ -245,12 +247,9 @@ def _halfint_nest(n: int) -> tuple[UniPoly, UniPoly, UniPoly]:
 
 @_cached
 def halfint_tail(i: int, m: int, k: int) -> tuple[UniRatFunc, ...]:
-    """Half-integer tails: entry l = 0..k+1 sums the summands t = l..k (the last
-    entry is zero), built right to left as halfint_term(l) + entry l+1."""
-    tails = [UniRatFunc(UniPoly())] * (k + 2)
-    for l in range(k, -1, -1):
-        tails[l] = halfint_term(i, m, k, l) + tails[l + 1]
-    return tuple(tails)
+    """Half-integer tails: entry l = 0..k+1 sums the summands t = l..k.  Each
+    lies over D[m,k] (1 for k <= m), so every sum adds numerators."""
+    return _suffix_sums([halfint_term(i, m, k, t) for t in range(k + 1)], UniRatFunc(UniPoly()))
 
 
 def halfint_quad(i: int, m: int, k: int) -> UniPoly:

@@ -569,10 +569,27 @@ def test_a_nested_tail_off_its_denominator_is_multiplied_by_q(numer, result):
         assert _lemma3_fields(1, 0, 2, 1)["result"] == result
 
 
-def test_every_nested_tail_on_the_halfint_grid_lies_over_the_shared_denominator():
-    # the benchmark's halfint-k grid: every (m+1, k) tail that lemma3 reads
-    # for k > m lies over D[m+1,k], so it takes the precomputed D[m+1,k]*q,
-    # which is D[m,k]; none is a product of its own
+def test_every_nested_tail_on_the_halfint_grid_lies_over_the_shared_denominator(monkeypatch):
+    # the benchmark's halfint-k grid: each tail tuple starts from its last
+    # summand, so no sum adds the zero tail over 1 and every sum of the sweep
+    # adds numerators over one denominator; the values cannot show it, since
+    # a cross-multiplied sum has the same canonical (numer, denom)
+    add, equal = poly.UniRatFunc.__add__, []
+
+    def spy(a, b):
+        equal.append(a.denom == b.denom)
+        return add(a, b)
+
+    clear_caches()
+    monkeypatch.setattr(poly.UniRatFunc, "__add__", spy)
+    cfg = cli.SweepConfig(
+        i_range=(0, 4), m_range=(0, 4), k_extra=6, checks=("prop2", "lemma3"), format="text", jobs=1
+    )
+    assert cli.run_verify(cfg, io.StringIO()) == 0
+    assert equal and all(equal), equal.count(False)
+    # every (m+1, k) tail that lemma3 reads for k > m lies over D[m+1,k], so
+    # it takes the precomputed D[m+1,k]*q, which is D[m,k]; none is a
+    # product of its own
     for i, m in itertools.product(range(4), range(5)):
         for k in range(m + 1, m + 7):
             q, below, shared = cons._halfint_nest(k - m)

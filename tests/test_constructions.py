@@ -165,6 +165,13 @@ def test_tail_closed_zero_at_top_index():
             assert not tail_closed(i, m, m + 1)
 
 
+def test_tail_closed_is_zero_outside_its_range():
+    # no range check: binom(m, l) = 0 for every l outside 0..m
+    for i in range(3):
+        for m in range(3):
+            assert tail_closed(i, m, -1) == BiPoly() == tail_closed(i, m, m + 2), (i, m)
+
+
 def test_tail_closed_bottom_index_specialization():
     """At l = 0 the closed form collapses to
 
@@ -312,6 +319,15 @@ def test_halfint_term_and_closed_form_scale_the_same_y_factor():
                     brace = UniPoly({2: slope, 0: -i * i * slope + offset})
                     expected = _y_factor(m, k, l) * brace * scalar
                     assert _parts(halfint_closed(i, m, k, l)) == _parts(expected), (i, m, k, l)
+
+
+def test_halfint_closed_rejects_l_below_zero():
+    # the range check stays: without it, l = -1 hits a pole of a falling
+    # factorial of negative length at (0, 0, 0) and (1, 0, 0), and gives a
+    # nonzero value at (0, 0, 2)
+    for i, m, k in ((0, 0, 0), (1, 0, 0), (0, 0, 2), (2, 1, 3)):
+        with pytest.raises(ValueError, match="l must satisfy"):
+            halfint_closed(i, m, k, -1)
 
 
 def test_clear_caches_drops_the_halfint_y_factor():
