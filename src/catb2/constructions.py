@@ -86,10 +86,7 @@ def integral_poly(i: int, m: int) -> BiPoly:
 def poly_from_coeffs(i: int, m: int) -> BiPoly:
     """f[i,m] assembled from its closed-form coefficients c[i,m,k]."""
     p = _family_p(i, m)
-    acc = BiPoly()
-    for k in range(m + 1):
-        acc = acc + BiPoly.monomial(integral_poly_coeff(i, m, k), 2 * p - 2 * k + 1, 2 * k)
-    return acc
+    return BiPoly({(2 * p - 2 * k + 1, 2 * k): integral_poly_coeff(i, m, k) for k in range(m + 1)})
 
 
 @_cached

@@ -306,11 +306,6 @@ def _signed_digits(acc: int, bits: int, count: int) -> dict[int, int]:
     return out
 
 
-def _times_linear(acc: list[int], lead: int, const: int) -> list[int]:
-    """Coefficients, lowest first, of acc(v) * (lead*v + const)."""
-    return [const * n + lead * prev for n, prev in zip(acc + [0], [0] + acc)]
-
-
 X_FORM = LinearForm(0)
 XPY_FORM = LinearForm(1)
 XMY_FORM = LinearForm(-1)
@@ -329,13 +324,12 @@ def ff_poly(var: str, shift: RatLike, k: int) -> BiPoly:
 
 
 def ff_linear_poly(form: LinearForm, shift: RatLike, k: int) -> BiPoly:
-    """Falling-factorial product prod_{j=0}^{k-1} (x + form.b*y + shift - j), k >= 0."""
-    if k < 0:
-        raise ValueError("negative length")
-    out = BiPoly.const(1)
-    for j in range(k):
-        out = out * BiPoly({(1, 0): 1, (0, 1): form.b, (0, 0): shift - j})
-    return out
+    """Falling-factorial product prod_{j=0}^{k-1} (x + form.b*y + shift - j), k >= 0:
+    `ff_unipoly` at v = x + b*y, each n*v^e written out as
+    sum_t n*C(e, t)*b^t x^(e-t) y^t."""
+    u, b = ff_unipoly(shift, k), form.b
+    num = {(e - t, t): n * math.comb(e, t) * b**t for e, n in u.num.items() for t in range(e + 1)}
+    return BiPoly._canon(num, u.den)
 
 
 @_cached
@@ -350,8 +344,8 @@ def ff_unipoly(shift: RatLike, k: int) -> UniPoly:
     shift = _as_rat(shift)
     a, d = shift.numerator, shift.denominator
     acc = [1]
-    for j in range(k):
-        acc = _times_linear(acc, d, a - j * d)
+    for j in range(k):  # acc(v) * (d*v + a - j*d), coefficients lowest first
+        acc = [(a - j * d) * n + d * prev for n, prev in zip(acc + [0], [0] + acc)]
     return UniPoly._canon(dict(enumerate(acc)), d**k)
 
 

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from catb2 import poly
+from catb2.constructions import defining_poly
 from catb2.poly import (
     X_FORM,
     XMY_FORM,
@@ -24,6 +26,7 @@ from catb2.poly import (
     ff_unirat,
     first_remainder,
 )
+from catb2.rational import clear_caches
 from oracles import divrem_linear, form_poly, subst_affine
 
 X = BiPoly.monomial(1, 1, 0)
@@ -70,6 +73,36 @@ def test_ff_linear_poly():
     assert ff_linear_poly(XPY_FORM, 0, 1) == s
     assert ff_linear_poly(XPY_FORM, 1, 3) == (s + BiPoly.const(1)) * s * (s - BiPoly.const(1))
     assert ff_linear_poly(XMY_FORM, 0, 1) == X - Y
+    # the product of the linear forms themselves, one factor at a time
+    for form in (XMY_FORM, X_FORM, XPY_FORM):
+        for shift in (0, 3, -2, Fraction(5, 2), Fraction(-1, 2)):
+            expected = BiPoly.const(1)
+            for k in range(10):
+                assert ff_linear_poly(form, shift, k) == expected, (form, shift, k)
+                expected = expected * form_poly(form, shift - k)
+
+
+def test_ff_linear_poly_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="negative length"):
+        ff_linear_poly(XPY_FORM, 0, -1)
+
+
+def test_every_factor_of_the_defining_polynomial_comes_from_ff_unipoly(monkeypatch):
+    # (x+m)_(2m+1), (y+m)_(2m+1), (x+y+m)_(2m+1) and (x-y+m)_(2m+1) all
+    # multiply out through ff_unipoly, so doubling it doubles each factor
+    expected = [defining_poly(m) * 16 for m in range(1, 5)]
+    original = poly.ff_unipoly
+
+    def doubled(shift, k):
+        return original(shift, k) * (2 if k >= 3 else 1)
+
+    monkeypatch.setattr(poly, "ff_unipoly", doubled)
+    clear_caches()
+    try:
+        assert [defining_poly(m) for m in range(1, 5)] == expected
+    finally:
+        monkeypatch.undo()
+        clear_caches()
 
 
 def test_swap():
