@@ -15,7 +15,12 @@ denominator with the common factor removed (`num`, `den`; the
 content/primitive-part form), so all arithmetic and the falling-factorial
 builders run in Python integers.  Every root substitution (`reduce_mod`,
 `subst_value`, `first_remainder`) eliminates x in one packed integer Horner
-loop, `_subst_roots`.  Fraction is the coefficient type at every interface:
+loop, `_subst_roots`.  A product of two operands with dense x rows
+(ft[i,m], the factors of the defining polynomial) is row-packed,
+`_packed_product`; every other product, such as an x-only factor times a
+y-only one or a small quadratic, was measured faster term by term.  Both
+pack each x row into one integer with `_pack_rows` and read values back
+with `_signed_digits`.  Fraction is the coefficient type at every interface:
 constructors take Fraction or int values, and `.terms` is a Fraction view
 built on first use for text and tests.
 
@@ -191,6 +196,11 @@ class BiPoly(_IntPoly):
         if not isinstance(other, BiPoly):
             return self._scaled(other)
         a, b = (self.num, other.num) if len(self.num) <= len(other.num) else (other.num, self.num)
+        # Operands with dense x rows (ft[i,m], the factors of the defining
+        # polynomial) multiply faster row-packed; outer products of an x-only
+        # and a y-only factor, small quadratics and tiny products term by term.
+        if len(a) >= 8 and len(a) * len(b) >= 256 and _dense_rows(a) and _dense_rows(b):
+            return _packed_product(self, other)
         acc: dict[Monomial, int] = {}
         for (x1, y1), n1 in a.items():
             for (x2, y2), n2 in b.items():
@@ -276,14 +286,11 @@ def _subst_roots(p: BiPoly, slope: int, values: list[RatLike]) -> Iterator[UniPo
     top = max((xe for xe, _ in p.num), default=0)
     # At most the remainder's y-degree, as x becomes slope*y + value.
     degree = max((ye + xe * abs(slope) for xe, ye in p.num), default=0)
-    sizes, rows = [0] * (top + 1), [0] * (top + 1)
-    for (xe, _), n in p.num.items():
-        sizes[xe] += abs(n)
+    sizes = _row_sizes(p.num, top)
     reach = max((v.denominator + abs(v.numerator) for v in values), default=1)
     vd_max = max((v.denominator for v in values), default=1)
     bits = sum(s * reach**e * vd_max ** (top - e) for e, s in enumerate(sizes)).bit_length() + 1
-    for (xe, ye), n in p.num.items():
-        rows[xe] += n << (ye * bits)
+    rows = _pack_rows(p.num, top, bits)
     for value in values:
         vn, vd = value.numerator, value.denominator
         lead, acc, scale = slope * vd, 0, 1
@@ -291,6 +298,74 @@ def _subst_roots(p: BiPoly, slope: int, values: list[RatLike]) -> Iterator[UniPo
             acc = (acc * lead << bits) + acc * vn + row * scale
             scale *= vd
         yield UniPoly._canon(_signed_digits(acc, bits, degree + 1), p.den * vd**top)
+
+
+def _dense_rows(num: dict) -> bool:
+    """At least two terms per x row on average."""
+    return len(num) >= 2 * len({xe for xe, _ in num})
+
+
+def _packed_product(p: BiPoly, q: BiPoly) -> BiPoly:
+    """p * q one x row at a time (Kronecker substitution in y alone; Harvey,
+    "Faster polynomial multiplication via multipoint Kronecker substitution",
+    JSC 2009).  Each row is packed as one integer at y = 2^B, every pair of
+    rows is multiplied as Python integers, the products are summed per output
+    row, and each output row is read back as its signed base-2^B digits.
+
+    When each operand's y exponents share one parity (ft[i,m] is even in y,
+    its swap odd), digit j of a row stands for y = parity + 2j, which halves
+    the packed length.  Output row x has coefficients of absolute value at
+    most sum_{x1+x2=x} S_p(x1) * S_q(x2), S a row's sum of |numerators|, so
+    B one more than the bit length of the largest such sum keeps every digit
+    exact.
+    """
+    parity_p, parity_q = {ye & 1 for _, ye in p.num}, {ye & 1 for _, ye in q.num}
+    shift = 1 if len(parity_p) == len(parity_q) == 1 else 0
+    offset = (min(parity_p) + min(parity_q)) * shift
+    # (x, digit index) -> numerator
+    num_p = {(xe, ye >> shift): n for (xe, ye), n in p.num.items()}
+    num_q = {(xe, ye >> shift): n for (xe, ye), n in q.num.items()}
+    # each row's highest digit index: in sorted keys a row's largest comes last
+    tops_p, tops_q = dict(sorted(num_p)), dict(sorted(num_q))
+    top_p, top_q = max(tops_p), max(tops_q)
+    sizes_p, sizes_q = _row_sizes(num_p, top_p), _row_sizes(num_q, top_q)
+    bound: dict[int, int] = {}
+    counts: dict[int, int] = {}
+    for x1, t1 in tops_p.items():
+        for x2, t2 in tops_q.items():
+            x = x1 + x2
+            bound[x] = bound.get(x, 0) + sizes_p[x1] * sizes_q[x2]
+            counts[x] = max(counts.get(x, 0), t1 + t2 + 1)
+    bits = max(bound.values()).bit_length() + 1
+    packed_p, packed_q = _pack_rows(num_p, top_p, bits), _pack_rows(num_q, top_q, bits)
+    rows_q = [(x2, packed_q[x2]) for x2 in tops_q]
+    rows: dict[int, int] = {}
+    for x1 in tops_p:
+        r1 = packed_p[x1]
+        for x2, r2 in rows_q:
+            rows[x1 + x2] = rows.get(x1 + x2, 0) + r1 * r2
+    num = {
+        (x, offset + (j << shift)): n
+        for x, row in rows.items()
+        for j, n in _signed_digits(row, bits, counts[x]).items()
+    }
+    return BiPoly._canon(num, p.den * q.den)
+
+
+def _row_sizes(num: dict, top: int) -> list[int]:
+    """The sum of |numerators| in each x row 0..top."""
+    sizes = [0] * (top + 1)
+    for (xe, _), n in num.items():
+        sizes[xe] += abs(n)
+    return sizes
+
+
+def _pack_rows(num: dict, top: int, bits: int) -> list[int]:
+    """Each x row 0..top of num as one integer, its value at y = 2^bits."""
+    rows = [0] * (top + 1)
+    for (xe, ye), n in num.items():
+        rows[xe] += n << (ye * bits)
+    return rows
 
 
 def _signed_digits(acc: int, bits: int, count: int) -> dict[int, int]:
@@ -302,7 +377,7 @@ def _signed_digits(acc: int, bits: int, count: int) -> dict[int, int]:
         out[k] = digit = ((acc + half) & mask) - half
         acc, k = (acc - digit) >> bits, k + 1
     if acc:
-        raise ArithmeticError("packed remainder has more digits than its degree allows")
+        raise ArithmeticError("packed value has more digits than its degree allows")
     return out
 
 

@@ -31,6 +31,16 @@ def divrem_linear(p: BiPoly, form: LinearForm, shift) -> tuple[BiPoly, UniPoly]:
     return BiPoly(q_terms), UniPoly(rows.get(0, {}))
 
 
+def termwise_product(p, q) -> dict:
+    """p * q term by term, as key -> nonzero Fraction (BiPoly or UniPoly)."""
+    acc = {}
+    for k1, c1 in p.terms.items():
+        for k2, c2 in q.terms.items():
+            k = (k1[0] + k2[0], k1[1] + k2[1]) if isinstance(k1, tuple) else k1 + k2
+            acc[k] = acc.get(k, Fraction(0)) + c1 * c2
+    return {k: c for k, c in acc.items() if c}
+
+
 def form_poly(form: LinearForm, shift) -> BiPoly:
     """The linear form x + form.b*y + shift as a polynomial."""
     return BiPoly({(1, 0): 1, (0, 1): form.b, (0, 0): shift})

@@ -445,6 +445,9 @@ KERNEL_FAULTS = {
         _POLYS | {"lemma2", "lemma3"},
         1,
     ),
+    # only the products of two operands with dense x rows: saito's
+    # ft[0,m]*ft[1,m].swap() and defining_poly's two large ones, from m = 3
+    "_packed_product": (lambda v, p, q: _bump_top(v), {"saito"}, 1),
     # 12 lemma3 tasks with k > m (i=1 m=6 k=8 l=1 among them) pass: their
     # numerators over the shared D[m,k] stay under the 10-term threshold,
     # the same sums cross-multiplied by D[m,k] would not; lemma3 still
@@ -597,13 +600,21 @@ def test_every_nested_tail_on_the_halfint_grid_lies_over_the_shared_denominator(
             assert all(u.denom == below for u in cons.halfint_tail(i, m + 1, k)[: k + 1]), (i, m, k)
 
 
-def test_a_remainder_wider_than_its_degree_is_a_harness_error(monkeypatch):
-    # one digit fewer than the remainder's degree allows: the decode raises,
-    # the cells report ERROR and the sweep exits 3 instead of running away
+@pytest.mark.parametrize(
+    "check, m_range",
+    [("prop2", (0, 1)), ("saito", (4, 5))],
+    ids=["remainder", "packed-product"],
+)
+def test_a_remainder_wider_than_its_degree_is_a_harness_error(monkeypatch, check, m_range):
+    # one digit fewer than a remainder's degree, or than a row of a packed
+    # product (saito's ft[0,m]*ft[1,m].swap() from m = 3), allows: the decode
+    # raises, the cells report ERROR and the sweep exits 3 instead of running
+    # away or printing a wrong polynomial
     original = poly._signed_digits
     monkeypatch.setattr(poly, "_signed_digits", lambda acc, bits, n: original(acc, bits, n - 1))
+    clear_caches()
     cfg = cli.SweepConfig(
-        i_range=(0, 1), m_range=(0, 1), k_extra=1, checks=("prop2",), format="text", jobs=1
+        i_range=(0, 1), m_range=m_range, k_extra=1, checks=(check,), format="text", jobs=1
     )
     out = io.StringIO()
     assert cli.run_verify(cfg, out) == 3

@@ -3,13 +3,14 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catb2 import poly
-from catb2.constructions import defining_poly
+from catb2.constructions import defining_poly, deformed_poly
 from catb2.poly import (
     X_FORM,
     XMY_FORM,
@@ -27,7 +28,7 @@ from catb2.poly import (
     first_remainder,
 )
 from catb2.rational import clear_caches
-from oracles import divrem_linear, form_poly, subst_affine
+from oracles import divrem_linear, form_poly, subst_affine, termwise_product
 
 X = BiPoly.monomial(1, 1, 0)
 Y = BiPoly.monomial(1, 0, 1)
@@ -373,15 +374,6 @@ def test_remainder_at_the_packing_bound(n):
             assert first_remainder(p, form, c, 1) == expected, (form, xe, ye, c)
 
 
-def _naive_product(p, q) -> dict:
-    acc = {}
-    for k1, c1 in p.terms.items():
-        for k2, c2 in q.terms.items():
-            k = (k1[0] + k2[0], k1[1] + k2[1]) if isinstance(k1, tuple) else k1 + k2
-            acc[k] = acc.get(k, Fraction(0)) + c1 * c2
-    return {k: c for k, c in acc.items() if c}
-
-
 @given(bipolys, bipolys)
 @example(X + Y, X - Y)
 @example(
@@ -392,7 +384,7 @@ def _naive_product(p, q) -> dict:
 @settings(max_examples=100, deadline=None)
 def test_bipoly_mul_matches_fraction_double_loop(p, q):
     got = p * q
-    assert got.terms == _naive_product(p, q)
+    assert got.terms == termwise_product(p, q)
     assert _is_clean(got)
 
 
@@ -404,7 +396,7 @@ def test_bipoly_mul_matches_fraction_double_loop(p, q):
 @settings(max_examples=100, deadline=None)
 def test_unipoly_mul_matches_fraction_double_loop(p, q):
     got = p * q
-    assert got.terms == _naive_product(p, q)
+    assert got.terms == termwise_product(p, q)
     assert _is_clean(got)
 
 
@@ -453,7 +445,7 @@ def test_bipoly_operations_stay_canonical(p, q, c):
     _checked(-p, _naive_scale(p, -1))
     _checked(p * c, _naive_scale(p, c))
     _checked(c * p, _naive_scale(p, c))
-    _checked(p * q, _naive_product(p, q))
+    _checked(p * q, termwise_product(p, q))
     _checked(p.swap(), {(ye, xe): v for (xe, ye), v in p.terms.items()})
     assert p == BiPoly(p.terms)
     assert (p == q) == (p.terms == q.terms)
@@ -468,7 +460,7 @@ def test_unipoly_operations_stay_canonical(p, q, c):
     _checked(p - q, _naive_sum(p, q, -1))
     _checked(-p, _naive_scale(p, -1))
     _checked(p * c, _naive_scale(p, c))
-    _checked(p * q, _naive_product(p, q))
+    _checked(p * q, termwise_product(p, q))
 
 
 @given(bipolys, y_coefs, form_shifts, st.sampled_from(["x", "y"]), form_shifts)
@@ -592,3 +584,107 @@ def test_signed_digits_stop_at_the_count():
     for wide in (acc, -acc, 1 << 40, -(1 << 40)):
         with pytest.raises(ArithmeticError):
             _signed_digits(wide, 8, 2)
+
+
+# --------------------------- row-packed products ---------------------------
+
+wide_coefs = st.one_of(
+    coefs,
+    st.integers(-(2**460), 2**460),
+    st.builds(Fraction, st.integers(-(2**420), 2**420), st.integers(1, 2**64)),
+).filter(bool)
+
+
+@st.composite
+def dense_bipolys(draw, parity):
+    """At least 16 terms and at least four per x row, so that a product of
+    two takes the row-packed path.  parity 0 or 1 puts every y exponent on
+    it (ft[i,m] is even in y, its swap odd); None mixes both."""
+    xs = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True))
+    width = -(-16 // len(xs))  # terms in each row
+    terms = {}
+    for xe in xs:
+        ys = draw(st.lists(st.integers(0, 23), min_size=width, max_size=width + 4, unique=True))
+        for ye in ys:
+            terms[xe, ye if parity is None else 2 * ye + parity] = draw(wide_coefs)
+    if parity is None:  # both parities, whatever the ys drawn
+        terms[xs[0], 60] = terms[xs[-1], 61] = draw(wide_coefs)
+    return BiPoly(terms)
+
+
+dense_pairs = st.sampled_from([(0, 0), (0, 1), (1, 1), (None, 0), (1, None), (None, None)]).flatmap(
+    lambda parities: st.tuples(*map(dense_bipolys, parities))
+)
+
+
+def _row(xe: int, ys, coef=lambda ye: ye + 1) -> BiPoly:
+    return BiPoly({(xe, ye): coef(ye) for ye in ys})
+
+
+_EVEN = _row(1, range(0, 32, 2)) + _row(3, range(0, 12, 2), lambda ye: -ye - 2)
+_ODD = _row(2, range(1, 33, 2), lambda ye: Fraction(ye, 3)) + _row(0, range(1, 9, 2))
+_TIGHT = _row(0, range(0, 32, 2), lambda ye: 1) + BiPoly.monomial(2**70 - 1, 5, 4)
+
+
+def _spread(terms: int, rows: int) -> BiPoly:
+    """terms terms dealt over rows x rows in turn, each coefficient nonzero."""
+    return BiPoly({(k % rows, k // rows): k + 1 for k in range(terms)})
+
+
+@given(dense_pairs)
+@example((_EVEN + _ODD, _EVEN - _ODD))  # the cross terms cancel
+@example((_EVEN * X, _ODD))  # even times odd, as in saito's product
+@example((_row(4, range(20), lambda ye: (-1) ** ye * 2**400 + ye), _ODD))  # one row, 400 bits
+@example((_row(0, [0]) + _row(1, range(0, 62, 2), lambda ye: Fraction(-7, ye + 2)), _EVEN))
+@example((_EVEN, _EVEN * Fraction(1, 2**65) - BiPoly.monomial(3, 5, 1)))  # a mixed operand
+@example((_spread(32, 16), _EVEN))  # mixed, with y in 0..1 only: not a parity of y >> 1
+@example((_ODD, _spread(32, 16)))
+# the packing bound is tight: output row 10 is the single product of the
+# two x^5 terms, and its bound S_p(5)*S_q(5) is that product's magnitude
+@example((_TIGHT, _TIGHT * -1))
+@settings(max_examples=60, deadline=None)
+def test_dense_row_products_are_packed_and_match_the_termwise_product(pair):
+    p, q = pair
+    with mock.patch.object(poly, "_packed_product", wraps=poly._packed_product) as packed:
+        got = p * q
+    assert packed.call_count == 1
+    assert got.terms == termwise_product(p, q)
+    assert _is_canonical(got)
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_saito_and_defining_poly_operands_match_the_termwise_product(m):
+    # the products saito_determinant and defining_poly take, in their order
+    plus, minus = ff_linear_poly(XPY_FORM, m, 2 * m + 1), ff_linear_poly(XMY_FORM, m, 2 * m + 1)
+    pairs = [
+        (deformed_poly(0, m), deformed_poly(1, m).swap()),
+        (plus, minus),
+        (plus * minus, ff_poly("x", m, 2 * m + 1) * ff_poly("y", m, 2 * m + 1)),
+    ]
+    with mock.patch.object(poly, "_packed_product", wraps=poly._packed_product) as packed:
+        products = [p * q for p, q in pairs]
+    for got, (p, q) in zip(products, pairs):
+        assert got.terms == termwise_product(p, q)
+    assert packed.call_count == (3 if m >= 3 else 0)
+
+
+@pytest.mark.parametrize(
+    "p, q, packed",
+    [
+        (_spread(8, 4), _spread(32, 16), 1),  # at every bound
+        (_spread(8, 5), _spread(32, 16), 0),  # fewer than two terms a row
+        (_spread(32, 16), _spread(8, 5), 0),
+        (_spread(7, 2), _spread(40, 4), 0),  # fewer than 8 terms
+        (_spread(8, 4), _spread(31, 8), 0),  # fewer than 256 term pairs
+        (_spread(16, 16), _spread(16, 1), 0),  # an x-only times a y-only factor
+    ],
+    ids=["at-the-bounds", "sparse-rows", "sparse-rows-right", "7-terms", "248-pairs", "outer"],
+)
+def test_the_packed_path_is_chosen_from_the_operand_shape(p, q, packed):
+    # at least 8 terms each, at least 256 term pairs and on average at least
+    # two terms per x row, in either order
+    for a, b in ((p, q), (q, p)):
+        with mock.patch.object(poly, "_packed_product", wraps=poly._packed_product) as spy:
+            got = a * b
+        assert spy.call_count == packed
+        assert got.terms == termwise_product(a, b)
