@@ -182,9 +182,9 @@ def _symmetrized(i: int, m: int) -> BiPoly:
 
 @_cached
 def _symmetric_remainder(i: int, m: int) -> UniPoly | None:
-    """First nonzero remainder of V[i,m] modulo x+y+m-j, j = 0..2m; the
+    """First nonzero remainder of V[i,m] modulo x+y+c, c = m..-m; the
     theorem and the x+y clause of membership both need it."""
-    return first_remainder(_symmetrized(i, m), XPY_FORM, m, 2 * m + 1)
+    return first_remainder(_symmetrized(i, m), XPY_FORM, m)
 
 
 def check_theorem(i: int, m: int) -> CheckReport:
@@ -229,18 +229,12 @@ def check_membership(i: int, m: int) -> CheckReport:
     its images theta(x) = f, theta(y) = g, theta(x+y) = f+g and
     theta(x-y) = f-g are each divisible by the full shifted product of that
     hyperplane family.  All rests on g = f.swap(), as basis_derivation
-    builds it.  The x clause covers theta(y): g modulo y+m-j is f modulo
-    x+m-j.  The x+y clause is the scan theorem shares.  The x-y clause scans
-    x-y+c for c = m..1: h = f-g is antisymmetric, so R_c(y) = h(y-c, y) has
-    R_0 = 0 and R_{-c}(y-c) = -R_c(y), and the first nonzero R_c of the
-    scan c = m..-m lies there.  Every remainder is left in y.
+    builds it.  The x clause covers theta(y): g modulo y+c is f modulo x+c.
+    The x+y clause is the scan theorem shares.  Every remainder is left in y.
     """
     f, g = basis_derivation(i, m)
-    rem = (
-        first_remainder(f, X_FORM, m, 2 * m + 1)
-        or _symmetric_remainder(i, m)
-        or first_remainder(f - g, XMY_FORM, m, m)
-    )
+    rem = first_remainder(f, X_FORM, m) or _symmetric_remainder(i, m)
+    rem = rem or first_remainder(f - g, XMY_FORM, m)
     return CheckReport(_witness(rem, "y"))
 
 

@@ -15,14 +15,16 @@ denominator with the common factor removed (`num`, `den`; the
 content/primitive-part form), so all arithmetic and the falling-factorial
 builders run in Python integers.  Every root substitution (`reduce_mod`,
 `subst_value`, `first_remainder`) eliminates x in one packed integer Horner
-loop, `_subst_roots`.  A product of two operands with dense x rows
-(ft[i,m], the factors of the defining polynomial) is row-packed,
-`_packed_product`; every other product, such as an x-only factor times a
-y-only one or a small quadratic, was measured faster term by term.  Both
-pack each x row into one integer with `_pack_rows` and read values back
-with `_signed_digits`.  Fraction is the coefficient type at every interface:
-constructors take Fraction or int values, and `.terms` is a Fraction view
-built on first use for text and tests.
+loop, `_subst_roots`.  `first_remainder` scans a whole family of shifts, and
+stops at c = 0 when every term has odd total degree.  A product of two
+operands with dense x rows (ft[i,m], the factors of the defining
+polynomial) is row-packed, `_packed_product`; every other product, such as
+an x-only factor times a y-only one or a small quadratic, was measured
+faster term by term.  Both pack each x row into one integer with
+`_pack_rows` and read values back with `_signed_digits`.  Fraction is the
+coefficient type at every interface: constructors take Fraction or int
+values, and `.terms` is a Fraction view built on first use for text and
+tests.
 
 The canonical text form (written for failure witnesses and the CLI; never parsed) is
 
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .rational import RatLike, _cached
 
@@ -267,7 +269,7 @@ class LinearForm:
         return f"LinearForm({self.b})"
 
 
-def _subst_roots(p: BiPoly, slope: int, values: list[RatLike]) -> Iterator[UniPoly]:
+def _subst_roots(p: BiPoly, slope: int, values: Sequence[RatLike]) -> Iterator[UniPoly]:
     """p with x replaced by slope*y + value, for each value in turn.  In
     integers, with p = num / den and value = vn/vd,
 
@@ -386,10 +388,13 @@ XPY_FORM = LinearForm(1)
 XMY_FORM = LinearForm(-1)
 
 
-def first_remainder(p: BiPoly, form: LinearForm, shift: RatLike, count: int) -> UniPoly | None:
-    """First nonzero remainder of p modulo x + form.b*y + shift - j, j = 0..count-1."""
-    roots = [j - shift for j in range(count)]
-    return next(filter(None, _subst_roots(p, -form.b, roots)), None)
+def first_remainder(p: BiPoly, form: LinearForm, m: int) -> UniPoly | None:
+    """First nonzero remainder of p modulo x + form.b*y + c, c = m, m-1, ..., -m.
+    If every term of p has odd total degree, p(-x, -y) = -p: the remainders at
+    c and -c, R_c(y) and R_{-c}(y) = -R_c(-y), vanish together, so the scan
+    stops at c = 0."""
+    odd = all((xe + ye) & 1 for xe, ye in p.num)
+    return next(filter(None, _subst_roots(p, -form.b, range(-m, 1 if odd else m + 1))), None)
 
 
 @_cached

@@ -223,7 +223,7 @@ def test_xpy_clause_of_membership_is_the_theorem_polynomial(poison):
     for i in range(3):
         for m in range(3):
             f, g = cons.basis_derivation(i, m)
-            scan = first_remainder(f + g, XPY_FORM, m, 2 * m + 1)
+            scan = first_remainder(f + g, XPY_FORM, m)
             assert ck._symmetric_remainder(i, m) == scan
 
 
@@ -246,8 +246,9 @@ def test_y_clause_of_membership_is_the_x_clause(poison):
 
 
 def test_xmy_remainders_of_membership_pair_up_about_zero(poison):
-    # membership scans theta(x-y) = h = f-g modulo x-y+c for c = m..1 only:
-    # h(y,x) = -h(x,y), so R_c(y) = h(y-c, y) has R_0 = 0 and
+    # membership scans theta(x-y) = h = f-g modulo x-y+c for c = m..0, as
+    # every term of h has odd total degree; h(y,x) = -h(x,y) gives the same
+    # pairing by another route: R_c(y) = h(y-c, y) has R_0 = 0 and
     # R_{-c}(y-c) = -R_c(y).  Poisoned as membership's matrix row; c = m+1
     # leaves the family, so nonzero remainders compare too.
     poison((1, 2, 1), Fraction(1, 7))
@@ -271,6 +272,7 @@ def test_xmy_clause_of_membership_scans_the_shifts_one_to_m(monkeypatch, m):
     # antisymmetric, passes the x and y clauses, and f+g = 0.  f-g = 2 P P P r
     # has the remainders of r on x-y+c: r = (x-y) prod_{c<n} ((x-y)^2-c^2)
     # makes c = m the first nonzero one for n = m and none for n = m+1.
+    # Every term of f has even total degree, so each scan reads c = m..-m.
     d = BiPoly.monomial(1, 1, 0) - BiPoly.monomial(1, 0, 1)
     f = ff_poly("x", m, 2 * m + 1) * ff_poly("y", m, 2 * m + 1) * d
     f = f * ff_linear_poly(XPY_FORM, m, 2 * m + 1)
@@ -465,12 +467,23 @@ KERNEL_FAULTS = {
         {"prop2", "prop3"},
         1,
     ),
+    # only the remainders at roots r > 0, the shifts c < 0 that first_remainder
+    # skips when every term has odd total degree: theorem and membership no
+    # longer reach them; prop3's reduction modulo x+y-m does, and compares values
+    "_subst_roots:positive-roots": (
+        lambda v, p, slope, values: (
+            r + poly.UniPoly.const(1) if x > 0 else r for r, x in zip(v, values)
+        ),
+        {"prop3"},
+        1,
+    ),
 }
 
 
 @pytest.mark.parametrize("kernel", KERNEL_FAULTS)
 def test_kernel_fault_is_caught_by_exactly_the_checks_that_use_it(kernel):
     perturb, catchers, code = KERNEL_FAULTS[kernel]
+    kernel = kernel.partition(":")[0]  # a row name past ":" tells rows of one kernel apart
     cfg = cli.SweepConfig(
         i_range=(0, 4), m_range=(0, 8), k_extra=2, checks=CHECK_NAMES, format="text", jobs=1
     )

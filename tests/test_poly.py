@@ -36,6 +36,8 @@ Y = BiPoly.monomial(1, 0, 1)
 coefs = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 monomials = st.tuples(st.integers(0, 5), st.integers(0, 5))
 bipolys = st.dictionaries(monomials, coefs, max_size=6).map(BiPoly)
+# every term of odd total degree
+odd_bipolys = st.dictionaries(monomials.filter(lambda k: sum(k) & 1), coefs, max_size=6).map(BiPoly)
 unipolys = st.dictionaries(st.integers(0, 6), coefs, max_size=5).map(UniPoly)
 forms = st.sampled_from([X_FORM, XPY_FORM, XMY_FORM])
 shifts = st.integers(-3, 3).map(Fraction)
@@ -162,17 +164,17 @@ def test_divrem_reconstruction(p, form, shift):
 
 
 def test_divisible_by_falling_product_examples():
-    assert first_remainder(X * X - Y * Y, XPY_FORM, 0, 1) is None
-    assert first_remainder(X + Y + BiPoly.const(1), XPY_FORM, 0, 1) == UniPoly.const(1)
+    assert first_remainder(X * X - Y * Y, XPY_FORM, 0) is None
+    assert first_remainder(X + Y + BiPoly.const(1), XPY_FORM, 0) == UniPoly.const(1)
     p = ff_linear_poly(XPY_FORM, 1, 3)
-    assert first_remainder(p, XPY_FORM, 1, 3) is None
+    assert first_remainder(p, XPY_FORM, 1) is None
 
 
-@given(bipolys, forms, shifts, st.integers(1, 3))
+@given(bipolys, forms, st.integers(0, 3))
 @settings(max_examples=40, deadline=None)
-def test_divisibility_of_constructed_multiples(p, form, shift, k):
-    product = p * ff_linear_poly(form, shift, k)
-    assert first_remainder(product, form, shift, k) is None
+def test_divisibility_of_constructed_multiples(p, form, m):
+    product = p * ff_linear_poly(form, m, 2 * m + 1)
+    assert first_remainder(product, form, m) is None
 
 
 @given(bipolys, bipolys)
@@ -281,30 +283,75 @@ def test_reduce_mod_matches_independent_routes(p, b, c):
         assert rem.as_bipoly("y") == subst_affine(p, "x", -b, "y", -c)
 
 
-@given(
-    bipolys,
-    st.sampled_from([XPY_FORM, XMY_FORM]),
-    st.integers(-8, 8).map(lambda n: Fraction(n, 2)),
-    st.integers(0, 5),
-    st.integers(0, 5),
-)
-@example(X + Y, XPY_FORM, Fraction(0), 3, 1)  # first nonzero at j = 1
-@example(X * Y + BiPoly.const(1), XMY_FORM, Fraction(3, 2), 4, 3)
+def _first_long_division(p, form, m: int) -> UniPoly | None:
+    """The first nonzero remainder of p modulo x + form.b*y + c, c = m..-m,
+    by the long-division oracle."""
+    rems = (divrem_linear(p, form, Fraction(c))[1] for c in range(m, -m - 1, -1))
+    return next(filter(None, rems), None)
+
+
+@given(bipolys, forms, st.integers(0, 4), st.integers(0, 5))
+@example(X + Y, XPY_FORM, 1, 1)  # (x+y)(x+y+1): first nonzero at c = -1
+@example(X * Y + BiPoly.const(1), XMY_FORM, 2, 3)
 @settings(max_examples=150, deadline=None)
-def test_first_remainder_is_the_first_nonzero_long_division(p, form, shift, count, vanish):
-    # The factor makes the remainders at j < vanish zero, so the first
+def test_first_remainder_is_the_first_nonzero_long_division(p, form, m, vanish):
+    # The factor makes the remainders at c = m..m-vanish+1 zero, so the first
     # nonzero one comes at a later shift.
-    p = p * ff_linear_poly(form, shift, vanish)
-    expected = None
-    for j in range(count):
-        rem = divrem_linear(p, form, shift - j)[1]
-        if rem:
-            expected = rem
-            break
-    got = first_remainder(p, form, shift, count)
-    assert got == expected
+    p = p * ff_linear_poly(form, m, vanish)
+    got = first_remainder(p, form, m)
+    assert got == _first_long_division(p, form, m)
     if got is not None:
         assert _is_canonical(got) and _is_clean(got)
+
+
+def _spy_roots(monkeypatch) -> list:
+    """The root batches passed to poly._subst_roots from now on."""
+    batches, original = [], poly._subst_roots
+
+    def spy(p, slope, values):
+        batches.append(list(values))
+        return original(p, slope, values)
+
+    monkeypatch.setattr(poly, "_subst_roots", spy)
+    return batches
+
+
+@given(odd_bipolys, forms, st.integers(0, 4), st.integers(0, 5))
+@example(X * X * X + Y, XPY_FORM, 2, 2)  # zero at c = +-2, +-1: first nonzero at c = 0
+@example(X * Y * Y, X_FORM, 3, 1)  # x y^2 (9-x^2): first nonzero at c = 2
+@example(X - Y, XMY_FORM, 1, 3)  # -(x-y)^3 ((x-y)^2-1)^2: every remainder zero
+@settings(max_examples=100, deadline=None)
+def test_an_odd_scan_stops_at_c_zero(p, form, m, vanish):
+    # Every term of odd total degree: remainders at c and -c vanish together,
+    # so only c = m..0 are read.  The factor F(v) F(-v), F = (v+m)_vanish and
+    # v = x + form.b*y, is even, so p stays odd while its remainders at
+    # c = +-m..+-(m-vanish+1) become zero.
+    factor = ff_linear_poly(form, m, vanish)
+    p = p * factor * factor.subst_affine("x").subst_affine("y")
+    with pytest.MonkeyPatch.context() as mp:
+        batches = _spy_roots(mp)
+        got = first_remainder(p, form, m)
+    assert batches == [list(range(-m, 1))]
+    assert got == _first_long_division(p, form, m)
+
+
+@pytest.mark.parametrize("form", [X_FORM, XPY_FORM, XMY_FORM])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_one_even_term_makes_the_scan_read_every_shift(monkeypatch, form, m):
+    # (v+m)_(2m) vanishes at c = m..-m+1 and not at c = -m, and it has terms
+    # of even total degree; at m = 1 with the x form it is x + x^2, one odd
+    # term and one even.  The scan must reach c = -m for the witness.
+    p = ff_linear_poly(form, m, 2 * m)
+    batches = _spy_roots(monkeypatch)
+    got = first_remainder(p, form, m)
+    assert batches == [list(range(-m, m + 1))]
+    assert got and got == divrem_linear(p, form, Fraction(-m))[1]
+    # The same polynomial without its even-degree terms is odd, and the scan
+    # stops at c = 0.
+    odd = BiPoly({k: c for k, c in p.terms.items() if sum(k) & 1})
+    batches.clear()
+    assert first_remainder(odd, form, m) == _first_long_division(odd, form, m)
+    assert batches == [list(range(-m, 1))]
 
 
 def _naive_at_x(p, value: Fraction) -> UniPoly:
@@ -332,7 +379,7 @@ def test_slope_zero_batches_match_fraction_evaluation(p, shift, count, vanish):
     p = p * ff_poly("x", shift, vanish)
     roots = [j - shift for j in range(count)]
     expected = next(filter(None, (_naive_at_x(p, r) for r in roots)), None)
-    assert first_remainder(p, X_FORM, shift, count) == expected
+    assert next(filter(None, _subst_roots(p, 0, roots)), None) == expected
     # The same batch with the root 0 added and mixed denominators, every root read.
     roots += [Fraction(0), Fraction(count)]
     assert list(_subst_roots(p, 0, roots)) == [_naive_at_x(p, r) for r in roots]
@@ -342,21 +389,15 @@ def test_slope_zero_batches_match_fraction_evaluation(p, shift, count, vanish):
 @example(X - Y, 2, 0)  # h = 2(x-y) leaves -2c: the first nonzero remainder at c = 2
 @example(X * X * Y - Y * Y * X, 3, 3)  # (x-y)^2 - c^2 zeroes c = +-1..+-3
 @settings(max_examples=100, deadline=None)
-def test_antisymmetric_xmy_scan_is_decided_by_its_positive_shifts(p, s, vanish):
+def test_antisymmetric_xmy_scan_matches_the_long_division_scan(p, s, vanish):
     # h(y,x) = -h(x,y) gives R_0 = 0 and R_{-c}(y-c) = -R_c(y) for R_c the
-    # remainder modulo x-y+c, so the scan c = s..1 finds the witness of the
-    # scan c = s..-s.  The symmetric factors (x-y)^2 - c^2 keep h
-    # antisymmetric and zero the remainders at c = +-s..+-(s-vanish+1).
+    # remainder modulo x-y+c, as membership's x-y clause scans it.  The
+    # symmetric factors (x-y)^2 - c^2 keep h antisymmetric and zero the
+    # remainders at c = +-s..+-(s-vanish+1).
     h = p - p.swap()
     for c in range(max(s - vanish, 0) + 1, s + 1):
         h = h * ((X - Y) * (X - Y) - BiPoly.const(c * c))
-    assert first_remainder(h, XMY_FORM, s, s) == first_remainder(h, XMY_FORM, s, 2 * s + 1)
-
-
-def test_first_remainder_of_an_empty_scan_is_none():
-    for form in (X_FORM, XPY_FORM, XMY_FORM):
-        assert first_remainder(X + BiPoly.const(1), form, 0, 0) is None
-        assert first_remainder(BiPoly(), form, Fraction(1, 2), 0) is None
+    assert first_remainder(h, XMY_FORM, s) == _first_long_division(h, XMY_FORM, s)
 
 
 @pytest.mark.parametrize("n", [1, -1, 3, -3, 7, -7, 2**70 - 1, -(2**70 - 1)])
@@ -371,7 +412,8 @@ def test_remainder_at_the_packing_bound(n):
             expected = divrem_linear(p, form, c)[1]
             assert expected.num == {xe + ye: n * (-form.b) ** xe}
             assert form.reduce_mod(p, c) == expected, (form, xe, ye, c)
-            assert first_remainder(p, form, c, 1) == expected, (form, xe, ye, c)
+            first = next(filter(None, _subst_roots(p, -form.b, [-c])), None)
+            assert first == expected, (form, xe, ye, c)
 
 
 @given(bipolys, bipolys)
