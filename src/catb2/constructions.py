@@ -38,6 +38,7 @@ from .poly import (
     ff_poly,
     ff_unipoly,
     ff_unirat,
+    recurrence_sum,
 )
 from .rational import _cached, beta_half, binomial, falling_factorial, falling_factorial_pair
 
@@ -130,7 +131,7 @@ def deformed_tail(i: int, m: int) -> tuple[BiPoly, ...]:
 
 def recurrence_quad(i: int, m: int) -> BiPoly:
     """x^2 + y^2 - (i+m+1)^2 - i^2, the middle coefficient of the recurrence at (i, m)."""
-    return BiPoly({(2, 0): 1, (0, 2): 1, (0, 0): -((i + m + 1) ** 2 + i * i)})
+    return BiPoly._canon({(2, 0): 1, (0, 2): 1, (0, 0): -((i + m + 1) ** 2 + i * i)}, 1)
 
 
 def recurrence_combo(
@@ -143,12 +144,20 @@ def recurrence_combo(
     quad is `recurrence_quad(i, m)`, or that quadratic at a fixed x.  The
     combination vanishes on ft (prop1) and on V = ft + ft.swap() (the
     v-recurrence); `tail_closed` and `halfint_closed` give it on the tails.
+    Polynomials, and rational functions over one denominator, are summed in
+    one pass (`recurrence_sum`); values over different denominators, which
+    only a fault produces, take the operator chain, so a witness keeps the
+    (numer, denom) that chain gives.
     """
     if i < 1:
         raise ValueError("index i-1 undefined")
-    out = value(i + 1, m) * -2
-    out = out + value(i, m) * quad
-    return out + value(i - 1, m + 1) * Fraction(1 - 2 * i, 2 * m + 2)
+    a, b, c = value(i + 1, m), value(i, m) * quad, value(i - 1, m + 1)
+    s = Fraction(1 - 2 * i, 2 * m + 2)
+    if isinstance(a, BiPoly):
+        return recurrence_sum(a, b, c, s)
+    if a.denom == b.denom == c.denom:
+        return UniRatFunc(recurrence_sum(a.numer, b.numer, c.numer, s), a.denom)
+    return a * -2 + b + c * s
 
 
 def tail_combo(i: int, m: int, l: int) -> BiPoly:
@@ -171,7 +180,7 @@ def tail_closed(i: int, m: int, l: int) -> BiPoly:
         return BiPoly()
     sign = -1 if l % 2 else 1
     scalar = sign * b * beta_half(l, i, m)
-    quad = UniPoly({2: 1, 0: l * (2 * m + 2 * i + l + 2) - i * i})
+    quad = UniPoly._canon({2: 1, 0: l * (2 * m + 2 * i + l + 2) - i * i}, 1)
     y = quad * ff_unipoly(m + i, m - l) * ff_unipoly(-i - l - 1, m - l) * scalar
     return ff_poly("x", m + i + l, 2 * m + 2 * i + 2 * l + 1) * y.as_bipoly("y")
 
@@ -251,7 +260,7 @@ def halfint_tail(i: int, m: int, k: int) -> tuple[UniRatFunc, ...]:
 
 def halfint_quad(i: int, m: int, k: int) -> UniPoly:
     """`recurrence_quad(i, m)` at x = -1/2-k: y^2 + (k+1/2)^2 - (i+m+1)^2 - i^2."""
-    return UniPoly({2: 1, 0: Fraction((2 * k + 1) ** 2 - 4 * ((i + m + 1) ** 2 + i * i), 4)})
+    return UniPoly._canon({2: 4, 0: (2 * k + 1) ** 2 - 4 * ((i + m + 1) ** 2 + i * i)}, 4)
 
 
 def halfint_combo(i: int, m: int, k: int, l: int) -> UniRatFunc:
@@ -300,7 +309,7 @@ def halfint_closed(i: int, m: int, k: int, l: int) -> UniRatFunc:
         return UniRatFunc(UniPoly())
     slope = 2 * (i + 3 * m + l + 2) + 1  # twice i+3m+l+5/2
     offset = (2 * (i + m + l) + 1) * (2 * (i + m - k) + 1) * (2 * (i + m + k + 1) + 1)
-    brace = UniPoly({2: 4 * slope, 0: offset - 4 * i * i * slope})
+    brace = UniPoly._canon({2: 4 * slope, 0: offset - 4 * i * i * slope}, 1)
     return _halfint_y_factor(m, k, l) * (brace * Fraction(num, 8 * (m + 1) * den))
 
 

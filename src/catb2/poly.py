@@ -21,10 +21,12 @@ operands with dense x rows (ft[i,m], the factors of the defining
 polynomial) is row-packed, `_packed_product`; every other product, such as
 an x-only factor times a y-only one or a small quadratic, was measured
 faster term by term.  Both pack each x row into one integer with
-`_pack_rows` and read values back with `_signed_digits`.  Fraction is the
-coefficient type at every interface: constructors take Fraction or int
-values, and `.terms` is a Fraction view built on first use for text and
-tests.
+`_pack_rows` and read values back with `_signed_digits`.  `recurrence_sum`
+takes the family's three-term recurrence -2*a + p + s*c in one integer
+pass over the three numerators, scaled to their least common denominator.
+Fraction is the coefficient type at every interface: constructors take
+Fraction or int values, and `.terms` is a Fraction view built on first use
+for text and tests.
 
 The canonical text form (written for failure witnesses and the CLI; never parsed) is
 
@@ -427,6 +429,18 @@ def ff_unipoly(shift: RatLike, k: int) -> UniPoly:
     for j in range(k):  # acc(v) * (d*v + a - j*d), coefficients lowest first
         acc = [(a - j * d) * n + d * prev for n, prev in zip(acc + [0], [0] + acc)]
     return UniPoly._canon(dict(enumerate(acc)), d**k)
+
+
+def recurrence_sum(a: _IntPoly, p: _IntPoly, c: _IntPoly, s: Fraction) -> _IntPoly:
+    """-2*a + p + s*c for polynomials of one class, in one integer pass over
+    their numerators scaled to the least common denominator."""
+    sn, sd = s.numerator, s.denominator
+    den = math.lcm(a.den, p.den, c.den * sd)
+    acc = {k: n * (den // a.den * -2) for k, n in a.num.items()}
+    for num, scale in ((p.num, den // p.den), (c.num, den // (c.den * sd) * sn)):
+        for k, n in num.items():
+            acc[k] = acc.get(k, 0) + n * scale
+    return p._canon(acc, den)
 
 
 # The denominator of every polynomial and zero UniRatFunc; shared, as

@@ -477,6 +477,16 @@ KERNEL_FAULTS = {
         {"prop3"},
         1,
     ),
+    # 1 added to every three-term recurrence, a zero one included: prop1 and
+    # v-recurrence expect zero, lemma1 and lemma3 their closed forms
+    "recurrence_sum": (
+        lambda v, *a: v + type(v).const(1),
+        {"lemma1", "lemma3", "prop1", "v-recurrence"},
+        1,
+    ),
+    # every recurrence reads zero: prop1 and v-recurrence pass, and only the
+    # closed forms of lemma1 and lemma3 catch it
+    "recurrence_sum:zero": (lambda v, *a: type(v)(), {"lemma1", "lemma3"}, 1),
 }
 
 

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import catb2.constructions as cons
 from catb2 import checks, cli, poly, rational
@@ -42,6 +44,7 @@ from catb2.poly import (
     ff_unipoly,
     ff_unirat,
     first_remainder,
+    recurrence_sum,
 )
 from catb2.rational import beta_half, clear_caches, falling_factorial, falling_factorial_pair
 from oracles import homogeneous_part
@@ -152,6 +155,76 @@ def test_tail_combo_vanishes_at_top_index():
 def test_tail_combo_requires_positive_i():
     with pytest.raises(ValueError):
         tail_combo(0, 1, 0)
+
+
+# Small operands over assorted denominators; an empty dict is the zero polynomial.
+_coefs = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+_unipolys = st.dictionaries(st.integers(0, 4), _coefs, max_size=4).map(UniPoly)
+_bipolys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _coefs, max_size=4).map(
+    BiPoly
+)
+_nonzero_unipolys = _unipolys.filter(bool)
+
+
+@given(
+    st.sampled_from([_unipolys, _bipolys]).flatmap(lambda polys: st.tuples(*[polys] * 4)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=10),
+    st.booleans(),
+)
+def test_recurrence_sum_is_the_operator_chain_on_polynomials(polys, s, cancel):
+    a, b, quad, c = polys
+    if cancel:  # b*quad = 2a - s*c, so every term cancels
+        b, quad = a * 2 - c * s, type(a).const(1)
+    expected = a * -2 + b * quad + c * s
+    got = recurrence_sum(a, b * quad, c, s)
+    assert type(got) is type(a)
+    assert got == expected  # polynomial equality compares (num, den)
+    assert not cancel or not got
+
+
+def _combo_of(values: tuple, i: int, m: int, quad: UniPoly) -> UniRatFunc:
+    """`recurrence_combo` over X[i+1,m], X[i,m], X[i-1,m+1] = values."""
+    table = dict(zip([(i + 1, m), (i, m), (i - 1, m + 1)], values))
+    return cons.recurrence_combo(lambda a, b: table[a, b], i, m, quad)
+
+
+def _chain(values: tuple, i: int, m: int, quad: UniPoly) -> UniRatFunc:
+    a, b, c = values
+    return a * -2 + b * quad + c * Fraction(1 - 2 * i, 2 * m + 2)
+
+
+def _same_rat(got: UniRatFunc, expected: UniRatFunc) -> bool:
+    """The same representation, not just the same value (`==` on UniRatFunc)."""
+    return (got.numer, got.denom) == (expected.numer, expected.denom)
+
+
+@given(
+    st.tuples(_nonzero_unipolys, _nonzero_unipolys, _nonzero_unipolys),
+    _nonzero_unipolys,
+    _nonzero_unipolys,
+    st.integers(1, 4),
+    st.integers(0, 4),
+)
+def test_recurrence_combo_adds_numerators_over_one_shared_denominator(numers, denom, quad, i, m):
+    values = tuple(UniRatFunc(n, denom) for n in numers)
+    expected = _chain(values, i, m, quad)
+    with pytest.MonkeyPatch.context() as mp:  # one pass, no UniRatFunc sum
+        mp.setattr(UniRatFunc, "__add__", None)
+        got = _combo_of(values, i, m, quad)
+    assert _same_rat(got, expected)
+
+
+@given(
+    st.tuples(_unipolys, _unipolys, _unipolys),
+    st.tuples(_nonzero_unipolys, _nonzero_unipolys, _nonzero_unipolys),
+    _unipolys,
+    st.integers(1, 4),
+    st.integers(0, 4),
+)
+def test_recurrence_combo_keeps_the_chain_off_a_shared_denominator(numers, denoms, quad, i, m):
+    # zero numerators sit over 1, so they leave the shared denominator too
+    values = tuple(UniRatFunc(n, d) for n, d in zip(numers, denoms))
+    assert _same_rat(_combo_of(values, i, m, quad), _chain(values, i, m, quad))
 
 
 def test_tail_closed_matches_combo_samples():
