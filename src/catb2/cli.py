@@ -5,11 +5,11 @@ report line per parameter cell, in an order that depends only on the
 configuration (never on timing or the worker count).  The tasks come from
 `checks.REGISTRY`.  `--jobs N` hands whole groups of them (the tasks of one m
 of the grid, or of one (m, i) cell when there are fewer m values than workers)
-to at most min(N, CPUs, groups) processes, largest m first, where CPUs counts
-only those the process may run on; the first line appears once the
-smallest-m group is done.  Each worker is pinned to its own CPU of the
-affinity mask, so that two of them never share one; on a platform without
-an affinity call the workers are not pinned.  `catb2 basis` prints the two
+to at most min(N, CPUs, groups) forked processes, largest m first, where CPUs
+counts only those the process may run on; the first line appears once the
+smallest-m group is done.  Each worker is pinned to its own CPU of the affinity
+mask, so that two never share one (without an affinity call, none is pinned);
+without `os.fork` the sweep runs in this process.  `catb2 basis` prints the two
 basis polynomials for one m with the constants C of saito and A, B of prop3.
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 usage error,
@@ -113,8 +113,7 @@ def build_tasks(cfg: SweepConfig) -> dict[Task, tuple[int, int]]:
 
 
 def execute_task(task: Task) -> tuple[Fields, Fields | None]:
-    """Run one task: the fields of its report line and the constants that
-    only a JSON record carries.  Top level for pickling."""
+    """Run one task: the fields of its report line and the constants only a JSON record carries."""
     action, name, params = task
     if action == "skip":
         return {"result": "SKIP"}, None
@@ -153,11 +152,6 @@ def _task_groups(tasks: dict[Task, tuple[int, int]], workers: int) -> list[list[
     return [groups[key] for key in sorted(groups, reverse=True)]
 
 
-def _execute_group(group: list[Task]) -> list[tuple[Fields, Fields | None]]:
-    """Run a group of tasks in one worker.  Top level for pickling."""
-    return [execute_task(task) for task in group]
-
-
 def _cpus() -> list[int | None]:
     """The CPUs this process may run on, one per pool worker it can use: its
     sorted affinity mask, or None for every CPU of the host on a platform
@@ -167,53 +161,71 @@ def _cpus() -> list[int | None]:
     return [None] * (os.cpu_count() or 1)
 
 
-def _start_worker(cpus) -> None:
-    """Pool initializer: the worker dies silently on Ctrl-C (the parent
-    reports the interrupt) and runs on the CPU it takes from `cpus`.  A CPU
-    it may not pin to leaves it unpinned rather than breaking the pool."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-    cpu = cpus.get()
-    if cpu is not None:
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, {cpu})
-
-
 def _pool_results(stack: contextlib.ExitStack, tasks: Iterable[Task], groups: list[list[Task]],
                   cpus: list[int | None]) -> Iterator[tuple[Fields, Fields | None]]:
-    """The outcome of each task in order, from a pool of one process per entry
-    of `cpus`, pinned to it, that runs one group per submission and that
-    `stack` shuts down.  Only this path loads the pool's modules; a dead
-    worker raises WorkerDied."""
-    import concurrent.futures, multiprocessing
+    """The outcome of each task in order, from one process forked per entry of `cpus` and
+    pinned to it, which gets one group at a time and returns its results as one length-prefixed
+    `marshal` frame.  One that dies holding a group raises WorkerDied; `stack` reaps them all."""
+    import marshal, select, signal
 
-    others = set(multiprocessing.active_children())
-    # One CPU per worker; every worker takes one as it starts, so none waits.
-    handout = multiprocessing.SimpleQueue()
-    stack.callback(handout.close)
-    for cpu in cpus:
-        handout.put(cpu)
-    pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
-        len(cpus), initializer=_start_worker, initargs=(handout,)))
-    # Runs first on exit: an early exit drops the queued groups instead of
-    # waiting for them, and an exit by exception ends the running ones too.
+    todo, done, pids, poller = iter(range(len(groups))), {}, [], select.poll()
+    commands, frames = {}, {}  # by result pipe: the command pipe while it holds a group, its frame
+
     def stop(error, *_):
-        for worker in set(multiprocessing.active_children()) - others if error else ():
-            worker.terminate()
-        pool.shutdown(cancel_futures=True)
+        for pid in pids if error else ():
+            os.kill(pid, signal.SIGTERM)
+        for fd in [*frames, *commands.values()]:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+    def hand_out(fd):  # the next group, largest m first; when none is left, the end of the pipe
+        if (k := next(todo, None)) is None:
+            poller.unregister(fd)
+            os.close(commands.pop(fd))
+        else:  # a process that died meanwhile is found by its result pipe
+            with contextlib.suppress(BrokenPipeError):
+                os.write(commands[fd], k.to_bytes(4, "little"))
 
     stack.push(stop)
-    try:
-        slots = {}  # task -> (its group's future, position in the group)
-        for group in groups:
-            future = pool.submit(_execute_group, group)
-            slots.update((task, (future, pos)) for pos, task in enumerate(group))
-        for task in tasks:
-            future, pos = slots[task]
-            yield future.result()[pos]
-    except concurrent.futures.BrokenExecutor as exc:  # a worker was killed or exited
-        raise WorkerDied from exc
+    for cpu in cpus:
+        (command_r, command_w), (result_r, result_w) = os.pipe(), os.pipe()
+        commands[result_r], frames[result_r] = command_w, bytearray()
+        if (pid := os.fork()) == 0:  # never returns; dies silently on Ctrl-C (the parent reports it)
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_DFL)
+                for fd in [*frames, *commands.values()]:  # the parent's ends
+                    os.close(fd)
+                if cpu is not None:  # a CPU it may not pin to leaves it unpinned
+                    with contextlib.suppress(OSError):
+                        os.sched_setaffinity(0, {cpu})
+                while index := os.read(command_r, 4):
+                    k = int.from_bytes(index, "little")
+                    frame = marshal.dumps((k, [execute_task(task) for task in groups[k]]))
+                    view = memoryview(len(frame).to_bytes(8, "little") + frame)
+                    while view:
+                        view = view[os.write(result_w, view):]
+                os._exit(0)
+            finally:
+                os._exit(1)
+        pids.append(pid)
+        os.close(command_r)
+        os.close(result_w)
+        poller.register(result_r, select.POLLIN)
+        hand_out(result_r)
+    for task in tasks:
+        while task not in done:
+            for fd, _ in poller.poll():
+                chunk, frame = os.read(fd, 1 << 16), frames[fd]
+                if not chunk:  # it ended, before or in the middle of its frame
+                    raise WorkerDied
+                frame += chunk
+                if len(frame) - 8 == int.from_bytes(frame[:8], "little"):
+                    k, results = marshal.loads(frame[8:])
+                    done.update(zip(groups[k], results))
+                    frame.clear()
+                    hand_out(fd)
+        yield done[task]
 
 
 def run_verify(cfg: SweepConfig, out: IO[str] | None = None) -> int:
@@ -222,12 +234,10 @@ def run_verify(cfg: SweepConfig, out: IO[str] | None = None) -> int:
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0, "ERROR": 0}
     # The pool forks all its workers at once, so never more than can work.
     cpus = _cpus()[: cfg.jobs]
-    groups = _task_groups(tasks, len(cpus)) if len(cpus) > 1 else []
+    groups = _task_groups(tasks, len(cpus)) if len(cpus) > 1 and hasattr(os, "fork") else []
     with contextlib.ExitStack() as stack:
-        if len(groups) <= 1:
-            results = map(execute_task, tasks)
-        else:
-            results = _pool_results(stack, tasks, groups, cpus[: len(groups)])
+        results = (_pool_results(stack, tasks, groups, cpus[: len(groups)]) if len(groups) > 1
+                   else map(execute_task, tasks))
         for task, (fields, data) in zip(tasks, results):
             counts[fields["result"]] += 1
             # One write per line: on an unbuffered stream, print's second
@@ -320,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except WorkerDied:
         print("catb2: error: a worker process died; the report is incomplete", file=sys.stderr)
         return 3
-    except KeyboardInterrupt:  # run_verify's ExitStack has cancelled the queued groups
+    except KeyboardInterrupt:  # run_verify's ExitStack has ended the pool
         print("catb2: interrupted; the report is incomplete", file=sys.stderr)
         return 130
     except OSError as exc:

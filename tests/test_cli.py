@@ -1,13 +1,12 @@
 """Harness behaviour: ranges, selection, report formats, exit codes."""
 
-import concurrent.futures
 import io
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -165,42 +164,47 @@ def test_jobs_do_not_change_output():
     assert _verify_lines(cfg1) == _verify_lines(cfg2)
 
 
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids `os.fork` returns to this process while the test runs, each
+    with the number of threads this process had when it forked."""
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    forked, fork = [], os.fork
+
+    def spy():
+        threads = threading.active_count()
+        pid = fork()
+        if pid:
+            forked.append((pid, threads))
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return forked
+
+
+def _reaped(pid: int) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 @pytest.mark.parametrize("cpus, workers", [(3, 3), (64, 4), (None, None)])
-def test_pool_size_is_capped_by_cpus_and_tasks(monkeypatch, cpus, workers):
+def test_pool_size_is_capped_by_cpus_and_tasks(monkeypatch, forked, cpus, workers):
     """`cpus` usable CPUs, first as the affinity mask of a 64-CPU host (None:
     a mask of one CPU), then as the CPU count of a platform that has no
-    affinity call."""
-    created = []
-
-    class InProcessPool:
-        """Records the requested pool size and runs the tasks in-process."""
-
-        def __init__(self, max_workers, **options):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return None
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    affinity call.  The pool forks one process per worker."""
     cfg = _cfg(checks=("degree",), jobs=5000)  # 4 tasks
-    expected = [] if workers is None else [workers]  # 1 worker runs in-process
+    expected = workers or 0  # 1 worker runs in-process
 
     def pool_sizes():
-        created.clear()
+        forked.clear()
         code, lines = _verify_lines(cfg)
         assert code == 0 and len(lines) == 4
-        return created
+        assert all(_reaped(pid) for pid, _ in forked)
+        return len(forked)
 
     mask = set(range(cpus or 1))
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: mask, raising=False)
@@ -247,8 +251,8 @@ def test_task_groups_split_a_sweep_of_fewer_m_than_workers_by_cell():
 
 
 @pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="a spawned worker imports catb2 anew, which this quick test avoids",
+    not hasattr(os, "fork"),
+    reason="the pool forks its workers; without os.fork there is no pool to compare",
 )
 def test_per_cell_pool_matches_sequential(monkeypatch):
     """One m and four i: the pool runs a group per (m, i) cell, with lemma2's
@@ -262,15 +266,12 @@ def test_per_cell_pool_matches_sequential(monkeypatch):
     assert _verify_lines(cfg._replace(jobs=2)) == sequential
 
 
-def test_one_cell_sweep_runs_in_process(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-cell sweep started a pool")
-
+def test_one_cell_sweep_runs_in_process(monkeypatch, forked):
     cfg = _cfg(checks=parse_checks("all"), i_range=(1, 1), m_range=(1, 1))
     sequential = _verify_lines(cfg)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(cli, "_cpus", lambda: [None, None])
     assert _verify_lines(cfg._replace(jobs=2)) == sequential
+    assert forked == []
 
 
 @pytest.mark.parametrize(
@@ -291,7 +292,7 @@ def test_cpus(monkeypatch, mask, expected):
 
 @pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
-    or multiprocessing.get_start_method() != "fork",
+    or not hasattr(os, "fork"),
     reason="needs two CPUs in the mask; the workers see the patched check only when forked",
 )
 def test_pool_workers_run_on_different_cpus(monkeypatch):
@@ -332,7 +333,7 @@ def test_two_workers_on_one_cpu_finish():
 
 
 @pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
+    not hasattr(os, "fork"),
     reason="pool workers see the patched affinity call only when forked",
 )
 def test_refused_pinning_leaves_the_pool_working(monkeypatch):
@@ -445,7 +446,6 @@ def _loaded_modules(statement: str) -> set[str]:
 
 
 def test_import_leaves_the_pool_modules_unloaded():
-    # Only a sweep with a process pool needs concurrent.futures.
     probe = "import sys, catb2.cli; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -458,6 +458,14 @@ def test_import_leaves_the_pool_modules_unloaded():
     added = _loaded_modules("import catb2.cli") - _loaded_modules("pass")
     unused = {"dataclasses", "inspect", "traceback", "json", "concurrent.futures", "multiprocessing"}
     assert added & unused == set()
+    # Nor does a sweep with a pool of two load the standard library's pools.
+    sweep = (
+        "import io; from catb2 import cli; cli._cpus = lambda: [None, None]; "
+        "cli.run_verify(cli.SweepConfig((0, 1), (0, 3), 1, ('degree',), 'text', 2), io.StringIO())"
+    )
+    added = _loaded_modules(sweep) - _loaded_modules("pass")
+    assert "select" in added  # the pool ran
+    assert added & {"concurrent.futures", "multiprocessing"} == set()
 
 
 def test_console_usage_error_exit_code():
@@ -474,11 +482,13 @@ class _ClosedPipe(io.StringIO):
         raise BrokenPipeError(32, "Broken pipe")
 
 
-def test_pool_is_shut_down_when_output_fails():
+def test_pool_is_shut_down_when_output_fails(monkeypatch, forked):
     cfg = _cfg(i_range=(0, 3), m_range=(0, 3), checks=("parity", "degree"), jobs=2)
+    monkeypatch.setattr(cli, "_cpus", lambda: [None, None])  # a pool even on one CPU
     with pytest.raises(BrokenPipeError):
         run_verify(cfg, out=_ClosedPipe())
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 2
+    assert all(_reaped(pid) for pid, _ in forked)
 
 
 def test_closed_stdout_exits_3_without_traceback():
@@ -512,15 +522,17 @@ def test_full_device_exits_3_with_one_line():
     )
 
 
-def test_interrupted_pool_is_shut_down(monkeypatch):
+def test_interrupted_pool_is_shut_down(monkeypatch, forked):
     class Interrupted(io.StringIO):
         def write(self, text: str) -> int:
             raise KeyboardInterrupt
 
     monkeypatch.setattr(sys, "stdout", Interrupted())
+    monkeypatch.setattr(cli, "_cpus", lambda: [None, None])  # a pool even on one CPU
     argv = ["verify", "--i", "0..3", "--m", "0..3", "--checks", "parity,degree", "--jobs", "2"]
     assert main(argv) == 130
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 2
+    assert all(_reaped(pid) for pid, _ in forked)
 
 
 @pytest.mark.skipif(os.name != "posix", reason="sends SIGINT")
@@ -550,13 +562,25 @@ def test_sigint_exits_130_without_traceback(jobs, whole_group):
 
 
 # A sweep whose m = 1 group never finishes: its worker reports its start on
-# stderr and then waits forever.  After main returns, the script reports the
-# children still alive.
+# stderr and then waits forever.  After main returns, the script reports how
+# many processes the pool forked and how many of them are still unreaped.
 _BLOCKED_SWEEP = """
-import multiprocessing, sys, threading
+import os, sys, threading
 from catb2 import checks, cli
 
-original = checks.check_degree
+original, fork, forked = checks.check_degree, os.fork, []
+
+def spy():
+    pid = fork()
+    forked.append(pid)
+    return pid
+
+def unreaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
 
 def check_degree(i, m):
     if m == 1:
@@ -564,16 +588,17 @@ def check_degree(i, m):
         threading.Event().wait()
     return original(i, m)
 
+os.fork = spy
 checks.check_degree = check_degree
 cli._cpus = lambda: [None, None]
 code = cli.main(["verify", "--i", "0", "--m", "0..1", "--checks", "degree", "--jobs", "2"])
-print("live children:", len(multiprocessing.active_children()), file=sys.stderr)
+print("forked:", len(forked), "unreaped:", sum(map(unreaped, forked)), file=sys.stderr)
 sys.exit(code)
 """
 
 
 @pytest.mark.skipif(
-    os.name != "posix" or multiprocessing.get_start_method() != "fork",
+    os.name != "posix" or not hasattr(os, "fork"),
     reason="sends SIGINT; the workers see the patched check only when forked",
 )
 def test_sigint_to_the_parent_alone_ends_the_running_groups():
@@ -594,7 +619,7 @@ def test_sigint_to_the_parent_alone_ends_the_running_groups():
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
     assert proc.returncode == 130
-    assert err == b"catb2: interrupted; the report is incomplete\nlive children: 0\n"
+    assert err == b"catb2: interrupted; the report is incomplete\nforked: 2 unreaped: 0\n"
 
 
 @pytest.fixture
@@ -672,7 +697,7 @@ def test_crashing_cell_json_record(broken_cell):
 
 
 @pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
+    not hasattr(os, "fork"),
     reason="pool workers see the patched check only when forked",
 )
 def test_crashing_cell_under_pool_matches_sequential(broken_cell):
@@ -684,7 +709,7 @@ def test_crashing_cell_under_pool_matches_sequential(broken_cell):
 
 
 @pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
+    not hasattr(os, "fork"),
     reason="pool workers see the patched check only when forked",
 )
 def test_dead_worker_exits_three(monkeypatch, capsys):
@@ -700,3 +725,87 @@ def test_dead_worker_exits_three(monkeypatch, capsys):
     assert main(["verify", "--m", "0..3", "--checks", "degree", "--jobs", "2"]) == 3
     err = capsys.readouterr().err
     assert err == "catb2: error: a worker process died; the report is incomplete\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+def test_frame_cut_short_exits_three(monkeypatch, capsys):
+    """A worker that ends in the middle of its results, after their length,
+    with a clean exit status: the pipe alone shows that it died."""
+    parent, write = os.getpid(), os.write
+
+    def cut_short(fd, data):
+        if os.getpid() == parent:
+            return write(fd, data)
+        write(fd, data[:-1])
+        os._exit(0)
+
+    monkeypatch.setattr(os, "write", cut_short)
+    monkeypatch.setattr(cli, "_cpus", lambda: [None, None])
+    assert main(["verify", "--m", "0..3", "--checks", "degree", "--jobs", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err == "catb2: error: a worker process died; the report is incomplete\n"
+
+
+def test_pool_forks_from_a_single_thread(monkeypatch, forked):
+    """Forking a process that has threads can deadlock the child (Python
+    3.12 and later warn of it), so the pool must start no thread of its own."""
+    cfg = _cfg(i_range=(0, 3), m_range=(0, 3), checks=("parity", "degree"))
+    sequential = _verify_lines(cfg)
+    monkeypatch.setattr(cli, "_cpus", lambda: [None, None])
+    assert _verify_lines(cfg._replace(jobs=2)) == sequential
+    assert [threads for _, threads in forked] == [1, 1]
+
+
+def test_pool_runs_in_a_process_holding_many_files(monkeypatch, forked):
+    """With over a thousand files open, the pool's pipes get descriptors
+    past 1023, which `select.select` refuses."""
+    resource = pytest.importorskip("resource")
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+        pytest.skip("the open-files limit is too low")
+    cfg = _cfg(i_range=(0, 3), m_range=(0, 3), checks=("parity", "degree"))
+    sequential = _verify_lines(cfg)
+    monkeypatch.setattr(cli, "_cpus", lambda: [None, None])
+    held = [os.open(os.devnull, os.O_RDONLY) for _ in range(1100)]
+    try:
+        assert _verify_lines(cfg._replace(jobs=2)) == sequential
+    finally:
+        for fd in held:
+            os.close(fd)
+    assert len(forked) == 2
+
+
+def test_a_platform_without_fork_sweeps_in_process(monkeypatch):
+    placed = []
+
+    def degree(i, m):
+        placed.append(os.getpid())
+        return checks.CheckReport()
+
+    monkeypatch.setattr(checks, "check_degree", degree)
+    cfg = _cfg(i_range=(0, 3), m_range=(0, 3), checks=("parity", "degree"))
+    sequential = _verify_lines(cfg)
+    monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.setattr(cli, "_cpus", lambda: [None, None])
+    placed.clear()
+    assert _verify_lines(cfg._replace(jobs=2)) == sequential
+    assert placed == [os.getpid()] * 16
+
+
+# 20,000 one-cell groups, each a SKIP: more group indices than a 64 KiB pipe
+# holds at once, so a pool that queued them all up front would block.
+_MANY_GROUPS = """
+import sys
+from catb2 import cli
+cli._cpus = lambda: [None, None]
+sys.exit(cli.main(["verify", "--checks", "v-recurrence", "--i", "0..19999", "--m", "0", "--jobs", "2"]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+def test_more_groups_than_a_pipe_holds_finish():
+    proc = subprocess.run(
+        [sys.executable, "-c", _MANY_GROUPS], capture_output=True, text=True, timeout=120
+    )
+    cfg = _cfg(checks=("v-recurrence",), i_range=(0, 19999), m_range=(0, 0))
+    assert len(cli._task_groups(build_tasks(cfg), workers=2)) == 20000
+    assert (proc.returncode, proc.stdout.splitlines()) == _verify_lines(cfg)

@@ -13,7 +13,7 @@ first pin; one that flips a verdict moves both.
 import hashlib
 import importlib.util
 import io
-import multiprocessing
+import os
 import re
 import sys
 from pathlib import Path
@@ -106,7 +106,7 @@ def test_mutation_runs_report_the_recorded_witnesses():
 
 
 @pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
+    not hasattr(os, "fork"),
     reason="pool workers see the patched constructions only when forked",
 )
 def test_mutation_runs_under_the_pool_report_the_recorded_witnesses(monkeypatch):
