@@ -231,9 +231,9 @@ class BiPoly(_IntPoly):
         e = 0 if var == "x" else 1
         return BiPoly._raw({k: -n if k[e] & 1 else n for k, n in self.num.items()}, self.den)
 
-    def subst_value(self, value: RatLike) -> UniPoly:
-        """p at x = value, a polynomial in y."""
-        return next(_subst_roots(self, 0, [value]))
+    def subst_value(self, values: Sequence[RatLike]) -> list[UniPoly]:
+        """p at x = each value, polynomials in y, from one packed batch."""
+        return list(_subst_roots(self, 0, values))
 
     def to_text(self) -> str:
         if not self.num:

@@ -541,7 +541,7 @@ def test_halfint_quad_is_the_recurrence_quad_at_the_half_integer(monkeypatch):
                 quads.clear()
                 cons.halfint_combo(i, m, k, k + 1)
                 x = Fraction(-(2 * k + 1), 2)
-                expected = cons.recurrence_quad(i, m).subst_value(x)
+                expected = cons.recurrence_quad(i, m).subst_value([x])[0]
                 assert quads == [expected], (i, m, k)
 
 

@@ -1,5 +1,6 @@
 """Harness behaviour: ranges, selection, report formats, exit codes."""
 
+import gc
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from textform import parse
 from catb2 import checks
 from catb2 import cli
 from catb2.cli import SweepConfig, UsageError, build_tasks, main, parse_checks, parse_range, run_verify
+from catb2.rational import clear_caches
 
 
 def _cfg(**kwargs) -> SweepConfig:
@@ -809,3 +811,88 @@ def test_more_groups_than_a_pipe_holds_finish():
     cfg = _cfg(checks=("v-recurrence",), i_range=(0, 19999), m_range=(0, 0))
     assert len(cli._task_groups(build_tasks(cfg), workers=2)) == 20000
     assert (proc.returncode, proc.stdout.splitlines()) == _verify_lines(cfg)
+
+
+@pytest.mark.parametrize("sweep", ["default", "every-cell-raises", "pool"])
+def test_a_sweep_leaves_no_cyclic_garbage(monkeypatch, sweep):
+    """`python -m catb2` runs without the cyclic collector, which is sound only
+    while nothing a sweep builds, or drops on the way, is part of a cycle.  The
+    sweep runs with cold memos, which are then emptied, so a cycle inside a
+    memoized value is garbage too; a warm-up sweep first imports everything."""
+    cfg = _cfg(i_range=(0, 4), m_range=(0, 4), k_extra=2, checks=checks.CHECK_NAMES)
+    if sweep == "every-cell-raises":
+
+        def check(i, m):
+            raise RuntimeError(f"boom in cell ({i}, {m})")
+
+        monkeypatch.setattr(checks, "check_degree", check)
+    if sweep == "pool":
+        if not hasattr(os, "fork"):
+            pytest.skip("needs os.fork")
+        monkeypatch.setattr(cli, "_cpus", lambda: [None, None])
+        cfg = cfg._replace(jobs=2)
+    expected = run_verify(cfg, io.StringIO())
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        clear_caches()
+        assert run_verify(cfg, io.StringIO()) == expected
+        clear_caches()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# The hook is registered before the entry runs, so it runs after the entry
+# has returned and the interpreter has begun to shut down.
+_ENTRY_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"frozen={gc.get_freeze_count() > 0} enabled={gc.isenabled()}", file=sys.stderr))
+if sys.argv.pop(1) == "console-script":  # what the installed `catb2` runs
+    from catb2.__main__ import main
+    sys.exit(main())
+runpy.run_module("catb2", run_name="__main__")  # what `python -m catb2` runs
+"""
+
+
+@pytest.mark.parametrize("entry", ["console-script", "python-m"])
+def test_the_process_entry_freezes_the_heap_before_shutdown(capsys, entry):
+    args = ["verify", "--i", "0..1", "--m", "0..1", "--checks", "parity,theorem"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENTRY_PROBE, entry, *args], capture_output=True, text=True, timeout=60
+    )
+    code = main(args)
+    out, err = capsys.readouterr()
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert proc.stderr == err + "frozen=True enabled=False\n"
+
+
+# Each parity cell fails with a witness that says whether the collector was on
+# in the process that ran it, and whether that was a forked worker.
+_POOL_COLLECTOR_PROBE = """
+import gc, os, sys
+from catb2 import checks, cli
+from catb2.__main__ import main
+
+parent = os.getpid()
+checks.check_parity = lambda i, m: checks.CheckReport(f"enabled={gc.isenabled()},worker={os.getpid() != parent}")
+cli._cpus = lambda: [None, None]
+sys.exit(main())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+def test_pool_workers_run_without_the_collector():
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_COLLECTOR_PROBE, "verify", "--i", "0..1", "--m", "0..3",
+         "--checks", "parity", "--jobs", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 8
+    assert all(line.endswith("RESULT=FAIL WITNESS=enabled=False,worker=True") for line in lines)
